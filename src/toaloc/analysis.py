@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Mode, ParamVector, design_matrix
+from .estimator import Mode
 from .linalg import invert_spd, is_positive_semidefinite
-from .measurement import build_weights
+from .measurement import forward, weight_vector
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState
 
 
@@ -68,26 +68,14 @@ class BiasReport:
         )
 
 
-def _truth_params(mode: Mode, ud: UdState) -> ParamVector:
-    return ParamVector(
-        mode=mode,
-        position=ud.position,
-        clock_offset_m=ud.clock_offset_m,
-        clock_drift_mps=None if mode is Mode.ONE_WAY else ud.clock_drift_mps,
-        velocity=ud.velocity if mode is Mode.ESTIMATED_VELOCITY else None,
+def _design_at_truth(mode: Mode, anchors: AnchorSet, ud: UdState, schedule: ResponseSchedule):
+    """Jacobian at the true state; the stationary baseline assumes zero velocity."""
+    velocity = np.zeros(anchors.n_dim) if mode is Mode.STATIONARY else ud.velocity
+    _, g = forward(
+        anchors.positions, schedule.delays, ud.position, velocity, 0.0, 0.0,
+        jacobian=True, **mode.layout,
     )
-
-
-def _design_at_truth(
-    mode: Mode,
-    anchors: AnchorSet,
-    ud: UdState,
-    schedule: ResponseSchedule,
-    velocity: np.ndarray | None = None,
-) -> np.ndarray:
-    theta = _truth_params(mode, ud)
-    known = ud.velocity if velocity is None else velocity
-    return design_matrix(theta, anchors, schedule, known_velocity=known)
+    return g
 
 
 def fim(
@@ -99,17 +87,16 @@ def fim(
 ) -> FimReport:
     """Fisher information F = G'WG at the true parameter, and CRLB diagonals."""
     g = _design_at_truth(mode, anchors, ud, schedule)
-    w_full = np.diag(build_weights(noise))
-    w = w_full[: anchors.count] if mode is Mode.ONE_WAY else w_full
+    w = weight_vector(noise)[: g.shape[0]]
     f = g.T @ (g * w[:, None])
     cov = invert_spd(f)
-    crlb = np.diag(cov).copy()
+    crlb = cov.diagonal().copy()
     n = anchors.n_dim
     return FimReport(
         mode=mode,
         fim=f,
         crlb_diag=crlb,
-        position_crlb_rss=float(np.sqrt(np.sum(crlb[:n]))),
+        position_crlb_rss=float(np.sqrt(crlb[:n].sum())),
         clock_crlb=float(np.sqrt(crlb[n])),
     )
 
@@ -139,7 +126,7 @@ def check_known_velocity_advantage(
     # mechanism: split the velocity columns out of the joint design matrix
     g_ev = _design_at_truth(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule)
     m = anchors.count
-    w_tau = np.diag(build_weights(noise))[m:]
+    w_tau = weight_vector(noise)[m:]
     g1_lam = g_ev[m:, : n + 2]  # [G1, delay column]
     l_block = g_ev[m:, n + 2 :]  # velocity columns = -l_i * dt_i
     b = g1_lam.T @ (l_block * w_tau[:, None])
@@ -173,7 +160,7 @@ def check_two_way_advantage(
     holds = bool(np.all(margins >= -tol * scale))
 
     g_ev = _design_at_truth(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule)
-    w_tau = np.diag(build_weights(noise))[m:]
+    w_tau = weight_vector(noise)[m:]
     g1 = g_ev[m:, : n + 1]
     g2 = g_ev[m:, n + 1 :]
     g1w = g1 * w_tau[:, None]
@@ -209,18 +196,12 @@ def velocity_mismatch_bias(
     """
     assumed_velocity = np.asarray(assumed_velocity, dtype=float)
     n = anchors.n_dim
-    m = anchors.count
-    dt = schedule.delays[:, None]
-    pos = anchors.positions
-
-    d_assumed = np.linalg.norm(pos - ud.position - assumed_velocity * dt, axis=-1)
-    d_true = np.linalg.norm(pos - ud.position - ud.velocity * dt, axis=-1)
-    r = np.concatenate([np.zeros(m), d_assumed - d_true])
-
-    g = _design_at_truth(
-        Mode.KNOWN_VELOCITY, anchors, ud, schedule, velocity=assumed_velocity
-    )
-    w = np.diag(build_weights(noise))
+    pos, dt = anchors.positions, schedule.delays
+    # with zero clock states the model rows are the bare ranges, so the
+    # request halves cancel exactly and g is the mismatched design matrix
+    h, g = forward(pos, dt, ud.position, assumed_velocity, 0.0, 0.0, jacobian=True)
+    r = h - forward(pos, dt, ud.position, ud.velocity, 0.0, 0.0)
+    w = weight_vector(noise)
     gw = g * w[:, None]
     q = invert_spd(gw.T @ g)
     mu = q @ (gw.T @ r)

@@ -21,20 +21,17 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, montecarlo
-from .estimator import (
-    InsufficientMeasurements,
-    Mode,
-    ParamVector,
-    SolverConfig,
-    default_initial,
-    solve,
-)
-from .measurement import InvalidNoise, ToaMeasurementSet, generate
+from .estimator import InsufficientMeasurements, MissingKnownVelocity, Mode, SolverConfig
+from .estimator import default_initial, solve
+from .linalg import SingularMatrix
+from .measurement import DegenerateGeometry, InvalidMeasurements, InvalidNoise
+from .measurement import ToaMeasurementSet, generate
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario, UdState
 
 EXIT_OK = 0
@@ -84,23 +81,28 @@ PRESETS = {
     },
 }
 
-DEFAULT_KIND_SWEEPS = {
-    montecarlo.NOISE_SWEEP: PRESETS["paper-noise-sweep"],
-    montecarlo.SPEED_SWEEP: PRESETS["paper-speed-sweep"],
-    montecarlo.STATIONARY_BASELINE: PRESETS["paper-stationary-baseline"],
-    montecarlo.VELOCITY_MISMATCH: PRESETS["paper-deviated-velocity"],
-    montecarlo.SUCCESS_RATE: PRESETS["paper-success-rate"],
-    montecarlo.ITERATION_PROFILE: PRESETS["paper-iteration-profile"],
-}
+DEFAULT_KIND_SWEEPS = {preset["kind"]: preset for preset in PRESETS.values()}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
+# Errors that report unusable input rather than a fault in the program:
+# main turns them into exit code 1 and lets every other exception through.
+INPUT_ERRORS = (ConfigError, InvalidMeasurements, InvalidNoise, InsufficientMeasurements,
+                MissingKnownVelocity, DegenerateGeometry, SingularMatrix)
+
+
+@contextmanager
+def _reading(what: str = "config"):
+    """Report a malformed value met while parsing ``what`` as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -145,46 +147,44 @@ def _solver_from(doc: dict) -> SolverConfig:
     return SolverConfig(
         max_iterations=int(solver.get("max_iterations", 10)),
         convergence_threshold_m=solver.get("convergence_threshold_m"),
-        known_velocity_mps=(
-            np.asarray(solver["known_velocity_mps"], dtype=float)
-            if "known_velocity_mps" in solver
-            else None
-        ),
+        known_velocity_mps=solver.get("known_velocity_mps"),
     )
 
 
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
-    mode = Mode(_require(doc, "mode"))
-    solver = _solver_from(doc)
+    with _reading():
+        mode = Mode(_require(doc, "mode"))
+        solver = _solver_from(doc)
+        if "measurements" in doc:
+            anchors = AnchorSet(np.asarray(_require(doc, "anchors"), dtype=float))
+            measurements = ToaMeasurementSet.from_dict(doc["measurements"])
+            scenario = None
+        elif "scenario" in doc:
+            scenario = Scenario.from_dict(doc["scenario"])
+            anchors = scenario.anchors
+        else:
+            raise ConfigError("config needs either 'measurements' or 'scenario'")
 
-    if "measurements" in doc:
-        anchors = AnchorSet(np.asarray(_require(doc, "anchors"), dtype=float))
-        measurements = ToaMeasurementSet.from_dict(doc["measurements"])
-        scenario = None
-    elif "scenario" in doc:
-        scenario = Scenario.from_dict(doc["scenario"])
-        anchors = scenario.anchors
+    if scenario is not None:
         seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
         rng = np.random.default_rng(seed)
         measurements = generate(scenario, rng)
         if mode is Mode.KNOWN_VELOCITY and solver.known_velocity_mps is None:
             solver = replace(solver, known_velocity_mps=scenario.ud.velocity)
-    else:
-        raise ConfigError("config needs either 'measurements' or 'scenario'")
 
     if "initial" in doc:
         init_doc = doc["initial"]
-        position = np.asarray(_require(init_doc, "position_m"), dtype=float)
-        initial = default_initial(mode, position, measurements)
-        if "clock_offset_m" in init_doc:
-            initial.clock_offset_m = float(init_doc["clock_offset_m"])
-        if "clock_drift_mps" in init_doc and mode is not Mode.ONE_WAY:
-            initial.clock_drift_mps = float(init_doc["clock_drift_mps"])
-        if "velocity_mps" in init_doc and mode is Mode.ESTIMATED_VELOCITY:
-            initial.velocity = np.asarray(init_doc["velocity_mps"], dtype=float)
+        with _reading():
+            position = np.asarray(_require(init_doc, "position_m"), dtype=float)
+            initial = default_initial(mode, position, measurements)
+            if "clock_offset_m" in init_doc:
+                initial.clock_offset_m = float(init_doc["clock_offset_m"])
+            if "clock_drift_mps" in init_doc and mode is not Mode.ONE_WAY:
+                initial.clock_drift_mps = float(init_doc["clock_drift_mps"])
+            if "velocity_mps" in init_doc and mode is Mode.ESTIMATED_VELOCITY:
+                initial.velocity = np.asarray(init_doc["velocity_mps"], dtype=float)
     elif scenario is not None:
-        seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
         rng_init = np.random.default_rng(seed)
         angle = rng_init.uniform(0.0, 2.0 * np.pi)
         offset = 50.0 * np.array([np.cos(angle), np.sin(angle)])
@@ -203,21 +203,24 @@ def cmd_solve(args) -> int:
         }
     if truth is not None:
         est = report.estimate
-        out["position_error_m"] = float(
-            np.linalg.norm(est.position - np.asarray(truth["position_m"], dtype=float))
-        )
-        if "clock_offset_m" in truth:
-            out["clock_offset_error_m"] = float(
-                abs(est.clock_offset_m - float(truth["clock_offset_m"]))
+        with _reading():
+            out["position_error_m"] = float(
+                np.linalg.norm(est.position - np.asarray(truth["position_m"], dtype=float))
             )
+            if "clock_offset_m" in truth:
+                out["clock_offset_error_m"] = float(
+                    abs(est.clock_offset_m - float(truth["clock_offset_m"]))
+                )
     _emit(json.dumps(out, indent=2), args.output)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_crlb(args) -> int:
     doc = _load_config(args.config)
-    scenario = Scenario.from_dict(_require(doc, "scenario"))
-    modes = [Mode(m) for m in doc.get("modes", [m.value for m in Mode if m is not Mode.STATIONARY])]
+    with _reading():
+        scenario = Scenario.from_dict(_require(doc, "scenario"))
+        default_modes = [m.value for m in Mode if m is not Mode.STATIONARY]
+        modes = [Mode(m) for m in doc.get("modes", default_modes)]
     reports = {
         mode.value: json.loads(
             analysis.fim(
@@ -232,10 +235,11 @@ def cmd_crlb(args) -> int:
 
 def cmd_predict_bias(args) -> int:
     doc = _load_config(args.config)
-    scenario = Scenario.from_dict(_require(doc, "scenario"))
-    assumed = np.asarray(
-        doc.get("assumed_velocity_mps", np.zeros(scenario.anchors.n_dim)), dtype=float
-    )
+    with _reading():
+        scenario = Scenario.from_dict(_require(doc, "scenario"))
+        assumed = np.asarray(
+            doc.get("assumed_velocity_mps", np.zeros(scenario.anchors.n_dim)), dtype=float
+        )
     report = analysis.velocity_mismatch_bias(
         scenario.anchors, scenario.ud, scenario.schedule, scenario.noise, assumed
     )
@@ -245,7 +249,10 @@ def cmd_predict_bias(args) -> int:
 
 def cmd_verify_theorems(args) -> int:
     doc = _load_config(args.config) if args.config else {}
-    instances = int(args.instances if args.instances is not None else doc.get("instances", 1000))
+    with _reading():
+        instances = int(
+            args.instances if args.instances is not None else doc.get("instances", 1000)
+        )
     if instances < 1:
         raise ConfigError("instance count must be >= 1")
     seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
@@ -324,10 +331,8 @@ def cmd_experiment(args) -> int:
     if seed is not None:
         doc["base_seed"] = seed
 
-    try:
+    with _reading("experiment config"):
         config = montecarlo.ExperimentConfig.from_dict(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from None
 
     summaries = montecarlo.run_experiment(config)
     csv_path = args.output or "experiment.csv"
@@ -387,8 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InsufficientMeasurements, InvalidNoise, KeyError, ValueError) as exc:
-        return _fail(str(exc))
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ Clock states inside parameter vectors are in range-equivalent units:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .linalg import SingularMatrix, solve_spd
-from .measurement import DegenerateGeometry, MIN_RANGE_M, ToaMeasurementSet
+from .linalg import NonFiniteMatrix, SingularMatrix, solve_spd
+from .measurement import DegenerateGeometry, ToaMeasurementSet, forward
 from .scenario import AnchorSet, ResponseSchedule
 
 
@@ -44,16 +45,29 @@ class Mode(str, Enum):
     def uses_response(self) -> bool:
         return self is not Mode.ONE_WAY
 
+    @property
+    def layout(self) -> dict[str, bool]:
+        """The mode's rows and Jacobian columns, as keyword arguments of forward()."""
+        return {"response": self.uses_response, "velocity_columns": self is Mode.ESTIMATED_VELOCITY}
+
 
 class InsufficientMeasurements(ValueError):
     """Fewer measurements than unknowns for the requested mode."""
+
+
+class MissingKnownVelocity(ValueError):
+    """The known-velocity mode was run without a known velocity."""
 
 
 class SingularNormalEquations(SingularMatrix):
     """Normal equations of a Gauss-Newton step could not be solved."""
 
 
-@dataclass
+class NonFiniteIterate(ValueError):
+    """An iterate, its residual or its normal equations are not finite."""
+
+
+@dataclass(slots=True)
 class ParamVector:
     """Unknown parameter vector in a fixed layout per mode.
 
@@ -126,7 +140,7 @@ class SolverConfig:
             self.known_velocity_mps = np.asarray(self.known_velocity_mps, dtype=float)
 
 
-@dataclass
+@dataclass(slots=True)
 class EstimateReport:
     """Solver outcome: final iterate, iteration trace and convergence flag."""
 
@@ -152,18 +166,20 @@ class EstimateReport:
 def _resolve_velocity(theta: ParamVector, config_velocity: np.ndarray | None) -> np.ndarray:
     if theta.mode is Mode.ESTIMATED_VELOCITY:
         return theta.velocity
-    if theta.mode is Mode.STATIONARY:
-        return np.zeros(theta.n_dim)
-    if config_velocity is None:
+    if theta.mode is Mode.STATIONARY or config_velocity is None:
         return np.zeros(theta.n_dim)
     return np.asarray(config_velocity, dtype=float)
 
 
-def _ranges(diffs: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(diffs, axis=-1)
-    if np.any(d < MIN_RANGE_M):
-        raise DegenerateGeometry("estimate coincides with an anchor")
-    return d
+def _forward(
+    theta: ParamVector, anchors: AnchorSet, schedule: ResponseSchedule,
+    known_velocity: np.ndarray | None, jacobian: bool = False,
+):
+    return forward(
+        anchors.positions, schedule.delays, theta.position,
+        _resolve_velocity(theta, known_velocity), theta.clock_offset_m, theta.clock_drift_mps,
+        jacobian=jacobian, **theta.mode.layout,
+    )
 
 
 def model_h(
@@ -173,16 +189,7 @@ def model_h(
     known_velocity: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free measurement model at the parameter vector theta."""
-    pos = anchors.positions
-    d_req = _ranges(pos - theta.position)
-    request = d_req - theta.clock_offset_m
-    if theta.mode is Mode.ONE_WAY:
-        return request
-    v = _resolve_velocity(theta, known_velocity)
-    dt = schedule.delays
-    d_resp = _ranges(pos - theta.position - v * dt[:, None])
-    response = d_resp + theta.clock_offset_m + theta.clock_drift_mps * dt
-    return np.concatenate([request, response])
+    return _forward(theta, anchors, schedule, known_velocity)
 
 
 def los_vectors(
@@ -192,13 +199,10 @@ def los_vectors(
     known_velocity: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit line-of-sight vectors at transmit (e_i) and receive (l_i) time."""
-    pos = anchors.positions
-    diff_tx = pos - theta.position
-    e = diff_tx / _ranges(diff_tx)[:, None]
     v = _resolve_velocity(theta, known_velocity)
-    diff_rx = pos - theta.position - v * schedule.delays[:, None]
-    l = diff_rx / _ranges(diff_rx)[:, None]
-    return e, l
+    _, g = forward(anchors.positions, schedule.delays, theta.position, v, 0.0, 0.0, jacobian=True)
+    m, n = anchors.count, theta.n_dim
+    return -g[:m, :n], -g[m:, :n]
 
 
 def design_matrix(
@@ -208,31 +212,15 @@ def design_matrix(
     known_velocity: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian of model_h with respect to theta, in range units."""
-    e, l = los_vectors(theta, anchors, schedule, known_velocity)
-    m = anchors.count
-    ones = np.ones((m, 1))
-    g0 = np.hstack([-e, -ones])
-    if theta.mode is Mode.ONE_WAY:
-        return g0
-    dt = schedule.delays[:, None]
-    g1 = np.hstack([-l, ones])
-    zeros = np.zeros((m, 1))
-    if theta.mode is Mode.ESTIMATED_VELOCITY:
-        top = np.hstack([g0, zeros, np.zeros((m, theta.n_dim))])
-        bottom = np.hstack([g1, dt, -l * dt])
-    else:
-        top = np.hstack([g0, zeros])
-        bottom = np.hstack([g1, dt])
-    return np.vstack([top, bottom])
+    return _forward(theta, anchors, schedule, known_velocity, jacobian=True)[1]
 
 
-def _weight_diag(measurements: ToaMeasurementSet, mode: Mode) -> np.ndarray:
-    w = np.diag(measurements.weights)
-    return w[: measurements.count] if mode is Mode.ONE_WAY else w
-
-
-def _observed(measurements: ToaMeasurementSet, mode: Mode) -> np.ndarray:
-    return measurements.request if mode is Mode.ONE_WAY else measurements.stacked
+def _fit_data(measurements: ToaMeasurementSet, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """The observed vector and weight diagonal the mode fits."""
+    w = measurements.weights.diagonal()
+    if mode.uses_response:
+        return measurements.stacked, w
+    return measurements.request, w[: measurements.count]
 
 
 def gauss_newton_step(
@@ -240,26 +228,28 @@ def gauss_newton_step(
     measurements: ToaMeasurementSet,
     anchors: AnchorSet,
     config: SolverConfig,
+    observed: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """One WLS update: delta = (G'WG)^-1 G'W r, plus the weighted residual norm."""
-    g = design_matrix(theta, anchors, measurements.schedule, config.known_velocity_mps)
-    h = model_h(theta, anchors, measurements.schedule, config.known_velocity_mps)
-    r = _observed(measurements, theta.mode) - h
-    w = _weight_diag(measurements, theta.mode)
-    gw = g * w[:, None]
+    """One WLS update: delta = (G'WG)^-1 G'W r, plus the weighted residual norm.
+
+    ``solve`` passes the mode's observed vector and weight diagonal, built
+    once per solve rather than once per step."""
+    if observed is None:
+        observed, weights = _fit_data(measurements, theta.mode)
+    h, g = _forward(theta, anchors, measurements.schedule, config.known_velocity_mps, jacobian=True)
+    r = observed - h
+    res_norm = math.sqrt(r @ (weights * r))
+    if not math.isfinite(res_norm):
+        raise NonFiniteIterate("weighted residual is not finite")
+    gw = g * weights[:, None]
     try:
         delta = solve_spd(gw.T @ g, gw.T @ r)
     except SingularMatrix as exc:
         raise SingularNormalEquations(str(exc)) from None
-    return delta, float(np.sqrt(r @ (w * r)))
-
-
-def _default_threshold(measurements: ToaMeasurementSet) -> float:
-    # sigma/10 with sigma taken from the response weighting block (or the
-    # request block for one-way data); weights are 1/sigma^2.
-    w = np.diag(measurements.weights)
-    sigma = 1.0 / np.sqrt(np.max(w))
-    return sigma / 10.0
+    except NonFiniteMatrix as exc:
+        raise NonFiniteIterate(f"normal equations: {exc}") from None
+    return delta, res_norm
 
 
 def default_initial(
@@ -290,8 +280,9 @@ def solve(
     """Iterate Gauss-Newton updates until the position step norm drops below
     the convergence threshold or the iteration budget is exhausted.
 
-    Singular normal equations abort the iteration and are reported as a
-    non-converged result rather than raised.
+    Singular normal equations, an iterate at an anchor and a non-finite
+    iterate abort the iteration and are reported as a non-converged result
+    with a ``failure_reason`` rather than raised.
     """
     mode = initial.mode
     n = initial.n_dim
@@ -302,15 +293,20 @@ def solve(
             f"{mode.value} needs at least {mode.param_dim(n)} measurements, have {n_meas}"
         )
     if mode is Mode.KNOWN_VELOCITY and config.known_velocity_mps is None:
-        raise ValueError("known-velocity mode requires known_velocity_mps")
+        raise MissingKnownVelocity("known-velocity mode requires known_velocity_mps")
 
-    threshold = (
-        config.convergence_threshold_m
-        if config.convergence_threshold_m is not None
-        else _default_threshold(measurements)
-    )
+    threshold = config.convergence_threshold_m
+    if threshold is None:
+        # sigma/10 with sigma taken from the response weighting block (or the
+        # request block for one-way data); weights are 1/sigma^2.
+        threshold = 1.0 / math.sqrt(measurements.weights.diagonal().max()) / 10.0
 
+    observed, weights = _fit_data(measurements, mode)
     theta = initial.to_array()
+    if not np.isfinite(theta).all():
+        return EstimateReport(
+            initial, 0, False, failure_reason="NonFiniteIterate: initial iterate is not finite"
+        )
     trace: list[tuple[float, float]] = []
     converged = False
     iterations = 0
@@ -318,14 +314,16 @@ def solve(
     current = initial
     for _ in range(config.max_iterations):
         try:
-            delta, res_norm = gauss_newton_step(current, measurements, anchors, config)
-        except (SingularNormalEquations, DegenerateGeometry) as exc:
+            delta, res_norm = gauss_newton_step(
+                current, measurements, anchors, config, observed, weights
+            )
+        except (SingularNormalEquations, DegenerateGeometry, NonFiniteIterate) as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break
         theta = theta + delta
         current = ParamVector.from_array(mode, theta, n)
         iterations += 1
-        step_pos = float(np.linalg.norm(delta[:n]))
+        step_pos = math.sqrt(delta[:n].dot(delta[:n]))  # np.linalg.norm's formula
         trace.append((step_pos, res_norm))
         if step_pos < threshold:
             converged = True

@@ -2,8 +2,13 @@
 
 Everything here operates on plain float64 numpy arrays. The systems are
 tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
-a few dozen rows), so the emphasis is on strict validation and error
-reporting rather than throughput.
+a few dozen rows), so a call costs more in library dispatch than in
+arithmetic. ``solve_spd`` therefore calls LAPACK's ``dtrtrs`` directly on
+``low.T``: numpy's Cholesky factor is C-ordered, so its transpose is the
+Fortran-ordered upper factor LAPACK reads without a copy, and these are the
+exact calls ``scipy.linalg.solve_triangular`` makes, so results match it bit
+for bit. ``dpotrs``, ``np.linalg.solve`` and scipy's ``dpotrf`` round
+differently and would change the solver's outputs.
 """
 
 from __future__ import annotations
@@ -23,12 +28,16 @@ class SingularMatrix(ValueError):
     """Matrix is numerically singular (non-positive Cholesky pivot)."""
 
 
+class NonFiniteMatrix(ValueError):
+    """Matrix has a NaN or infinite entry."""
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return a
 
 
@@ -50,8 +59,8 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from None
     # numpy may succeed on barely positive matrices; enforce the pivot floor.
-    max_diag = float(np.max(np.diag(a))) if a.size else 0.0
-    if max_diag <= 0.0 or np.min(np.diag(low)) ** 2 <= SINGULARITY_RTOL * max_diag:
+    max_diag = float(a.diagonal().max()) if a.size else 0.0
+    if max_diag <= 0.0 or low.diagonal().min() ** 2 <= SINGULARITY_RTOL * max_diag:
         raise SingularMatrix("pivot below singularity tolerance")
     return low
 
@@ -69,11 +78,14 @@ def solve_spd(a, b) -> np.ndarray:
         raise DimensionMismatch(f"a must be square, got shape {a.shape}")
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, expected {n}")
-    low = _cholesky(a)
-    from scipy.linalg import solve_triangular
+    up = _cholesky(a).T
+    from scipy.linalg.lapack import dtrtrs
 
-    y = solve_triangular(low, b, lower=True, check_finite=False)
-    return solve_triangular(low, y, trans="T", lower=True, check_finite=False)
+    y, _ = dtrtrs(up, b, lower=0, trans=1)
+    x, info = dtrtrs(up, y, lower=0, trans=0)
+    if info != 0:
+        raise SingularMatrix(f"triangular solve failed (LAPACK info {info})")
+    return x
 
 
 def invert_spd(a) -> np.ndarray:

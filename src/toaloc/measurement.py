@@ -9,7 +9,8 @@ range-equivalent meters:
   reply after delay dt_i:  ||p_i - p - v*dt_i|| + c*b + c*omega*dt_i
 
 where p, v, b, omega are the device state at request transmission time.
-All noises are independent zero-mean Gaussians.
+All noises are independent zero-mean Gaussians. ``forward`` evaluates this
+model and its Jacobian for synthesis, the solver and the Fisher information.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class InvalidNoise(ValueError):
     """Noise specification unusable for weighting (non-positive sigma)."""
 
 
+class InvalidMeasurements(ValueError):
+    """Measurement set with mismatched lengths, non-finite values or bad weights."""
+
+
 @dataclass(frozen=True)
 class ToaMeasurementSet:
     """2M stacked range-equivalent measurements with their weighting matrix."""
@@ -47,13 +52,15 @@ class ToaMeasurementSet:
         resp = np.asarray(self.response, dtype=float)
         m = req.size
         if resp.size != m or self.schedule.delays.size != m:
-            raise ValueError("request, response and schedule lengths must match")
+            raise InvalidMeasurements("request, response and schedule lengths must match")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (2 * m, 2 * m):
-            raise ValueError(f"weights must be {2*m}x{2*m}, got {w.shape}")
-        diag = np.diag(w)
-        if np.any(diag <= 0.0) or np.any(w != np.diag(diag)):
-            raise ValueError("weights must be diagonal with positive diagonal")
+            raise InvalidMeasurements(f"weights must be {2*m}x{2*m}, got {w.shape}")
+        diag = w.diagonal()
+        if not np.isfinite(np.concatenate([req, resp, self.schedule.delays, diag])).all():
+            raise InvalidMeasurements("measurements, delays and weights must be finite")
+        if (diag <= 0.0).any() or (w != np.diag(diag)).any():
+            raise InvalidMeasurements("weights must be diagonal with positive diagonal")
         object.__setattr__(self, "request", req)
         object.__setattr__(self, "response", resp)
         object.__setattr__(self, "weights", w)
@@ -100,16 +107,17 @@ class ToaMeasurementSet:
         )
 
 
-def _checked_norms(diffs: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(np.atleast_2d(diffs), axis=-1)
-    if np.any(d < MIN_RANGE_M):
-        raise DegenerateGeometry("device position coincides with an anchor")
+def _ranges(diffs: np.ndarray) -> np.ndarray:
+    # the formula np.linalg.norm(axis=-1) evaluates, without its dispatch
+    d = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
+    if d.min() < MIN_RANGE_M:
+        raise DegenerateGeometry("position coincides with an anchor")
     return d
 
 
 def model_request_toa(anchor: np.ndarray, ud: UdState) -> float:
     """Noise-free request measurement ||p_i - p|| - c*b, in meters."""
-    d = _checked_norms(np.asarray(anchor, dtype=float) - ud.position)
+    d = _ranges(np.atleast_2d(np.asarray(anchor, dtype=float) - ud.position))
     return float(d[0]) - ud.clock_offset_m
 
 
@@ -118,8 +126,43 @@ def model_response_toa(anchor: np.ndarray, ud: UdState, delta_t: float) -> float
     if delta_t <= 0.0:
         raise ValueError("delta_t must be positive")
     disp = np.asarray(anchor, dtype=float) - ud.position - ud.velocity * delta_t
-    d = _checked_norms(disp)
+    d = _ranges(np.atleast_2d(disp))
     return float(d[0]) + ud.clock_offset_m + ud.clock_drift_mps * delta_t
+
+
+def forward(
+    anchors_m: np.ndarray, delays: np.ndarray | None, position: np.ndarray,
+    velocity: np.ndarray | None, clock_offset_m: float, clock_drift_mps: float | None,
+    response: bool = True, jacobian: bool = False, velocity_columns: bool = False,
+):
+    """Noise-free stacked model h and, with ``jacobian``, its Jacobian G.
+
+    h holds the M request rows, then with ``response`` the M response rows.
+    G is C-ordered with columns [p, c*b], then [c*omega] with ``response``
+    and [v] with ``velocity_columns``. Returns h, or (h, G) with ``jacobian``.
+    """
+    m, n = anchors_m.shape
+    rows = 2 * m if response else m
+    # rows p - p_i and p + v*dt_i - p_i: line-of-sight vectors, negated as in G
+    u = np.empty((rows, n))
+    np.subtract(position, anchors_m, out=u[:m])
+    if response:
+        np.add(u[:m], velocity * delays[:, None], out=u[m:])
+    h = _ranges(u)
+    if jacobian:
+        g = np.zeros((rows, 2 * n + 2 if velocity_columns else n + 2 if response else n + 1))
+        np.divide(u, h[:, None], out=g[:, :n])
+        g[:m, n] = -1.0
+        if response:
+            g[m:, n] = 1.0
+            g[m:, n + 1] = delays
+            if velocity_columns:
+                np.multiply(g[m:, :n], delays[:, None], out=g[m:, n + 2 :])
+    h[:m] -= clock_offset_m
+    if response:
+        h[m:] += clock_offset_m
+        h[m:] += clock_drift_mps * delays
+    return (h, g) if jacobian else h
 
 
 def model_stacked(
@@ -127,22 +170,24 @@ def model_stacked(
 ) -> np.ndarray:
     """Vectorized noise-free [request, response] model, 2M entries."""
     pos = np.asarray(anchors_m, dtype=float)
-    dt = schedule.delays
-    d_req = _checked_norms(pos - ud.position)
-    d_resp = _checked_norms(pos - ud.position - ud.velocity * dt[:, None])
-    cb = ud.clock_offset_m
-    return np.concatenate([d_req - cb, d_resp + cb + ud.clock_drift_mps * dt])
+    return forward(
+        pos, schedule.delays, ud.position, ud.velocity, ud.clock_offset_m, ud.clock_drift_mps
+    )
+
+
+def weight_vector(noise: NoiseSpec) -> np.ndarray:
+    """Weighting diagonal [1/sigma_i^2, ..., 1/sigma^2, ...], 2M entries."""
+    if (noise.sigma_request <= 0.0).any() or noise.sigma_response <= 0.0:
+        raise InvalidNoise("weighting requires strictly positive sigmas")
+    m = noise.sigma_request.size
+    return np.concatenate(
+        [1.0 / noise.sigma_request**2, np.full(m, 1.0 / noise.sigma_response**2)]
+    )
 
 
 def build_weights(noise: NoiseSpec) -> np.ndarray:
     """Diagonal 2M x 2M weighting matrix diag(1/sigma_i^2, ..., 1/sigma^2, ...)."""
-    if np.any(noise.sigma_request <= 0.0) or noise.sigma_response <= 0.0:
-        raise InvalidNoise("weighting requires strictly positive sigmas")
-    m = noise.sigma_request.size
-    diag = np.concatenate(
-        [1.0 / noise.sigma_request**2, np.full(m, 1.0 / noise.sigma_response**2)]
-    )
-    return np.diag(diag)
+    return np.diag(weight_vector(noise))
 
 
 def generate(

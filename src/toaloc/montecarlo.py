@@ -13,21 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis
-from .estimator import (
-    DegenerateGeometry,
-    EstimateReport,
-    Mode,
-    ParamVector,
-    SolverConfig,
-    default_initial,
-    solve,
-)
+from .estimator import Mode, SolverConfig, default_initial, solve
 from .measurement import generate
 from .scenario import ResponseSchedule, Scenario, benchmark_scenario
 
@@ -160,42 +151,20 @@ class TrialRecord:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
-def _run_mode(
-    scenario: Scenario,
-    measurements,
-    mode: Mode,
-    initial_position: np.ndarray,
-    solver: SolverConfig,
-) -> tuple[EstimateReport | None, float]:
+def _solve_mode(
+    scenario: Scenario, measurements, mode: Mode, initial_position: np.ndarray,
+    threshold: float, known_velocity: np.ndarray | None, max_iterations: int = 10,
+) -> ModeOutcome:
+    """Solve one mode from the initial position and record its errors
+    against the truth, the solver wall time and the mode's CRLB."""
+    solver = SolverConfig(max_iterations, threshold, known_velocity)
     initial = default_initial(mode, initial_position, measurements)
     t0 = time.perf_counter()
-    try:
-        report = solve(measurements, scenario.anchors, solver, initial)
-    except DegenerateGeometry:
-        return None, time.perf_counter() - t0
-    return report, time.perf_counter() - t0
-
-
-def _outcome(
-    scenario: Scenario,
-    report: EstimateReport | None,
-    elapsed: float,
-    mode: Mode,
-) -> ModeOutcome:
+    report = solve(measurements, scenario.anchors, solver, initial)
+    elapsed = time.perf_counter() - t0
     fim_report = analysis.fim(
         mode, scenario.anchors, scenario.ud, scenario.schedule, scenario.noise
     )
-    if report is None:
-        return ModeOutcome(
-            converged=False,
-            iterations=0,
-            pos_err_m=float("inf"),
-            clk_err_m=float("inf"),
-            solve_time_s=elapsed,
-            crlb_pos_sq=fim_report.position_crlb_rss**2,
-            crlb_clk_sq=fim_report.clock_crlb**2,
-            failed=True,
-        )
     est = report.estimate
     return ModeOutcome(
         converged=report.converged,
@@ -248,23 +217,19 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> T
         return record
 
     measurements = generate(scenario, rng)
-    threshold = sigma / 10.0
-    max_iter = int(sweep_value) if config.kind == ITERATION_PROFILE else 10
     # the iteration profile forces exactly max_iter iterations
-    if config.kind == ITERATION_PROFILE:
-        threshold = 1e-300
+    profile = config.kind == ITERATION_PROFILE
+    threshold = 1e-300 if profile else sigma / 10.0
+    max_iter = int(sweep_value) if profile else 10
 
     for mode in config.modes:
-        solver = SolverConfig(
-            max_iterations=max_iter,
-            convergence_threshold_m=threshold,
-            known_velocity_mps=scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None,
+        known = scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None
+        outcome = _solve_mode(
+            scenario, measurements, mode, initial_position, threshold, known, max_iter
         )
-        report, elapsed = _run_mode(scenario, measurements, mode, initial_position, solver)
-        outcome = _outcome(scenario, report, elapsed, mode)
         # a profiled run spends its whole iteration budget by construction;
         # completing it counts as converged for aggregation purposes
-        if config.kind == ITERATION_PROFILE and not outcome.failed:
+        if profile and not outcome.failed:
             outcome.converged = outcome.iterations == max_iter
         record.outcomes[mode.value] = outcome
     return record
@@ -278,22 +243,13 @@ def _run_stationary_baseline(config, scenario, rng, initial_position, record):
         trial_scenario = replace(scenario, schedule=schedule)
         measurements = generate(trial_scenario, rng)
         for mode in (Mode.STATIONARY, Mode.KNOWN_VELOCITY):
-            solver = SolverConfig(
-                max_iterations=10,
-                convergence_threshold_m=config.sigma_m / 10.0,
-                known_velocity_mps=scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None,
+            known = scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None
+            outcome = _solve_mode(
+                trial_scenario, measurements, mode, initial_position, config.sigma_m / 10.0, known
             )
-            report, elapsed = _run_mode(
-                trial_scenario, measurements, mode, initial_position, solver
-            )
-            outcome = _outcome(trial_scenario, report, elapsed, mode)
             if mode is Mode.STATIONARY:
-                bias = analysis.stationary_assumption_bias(
-                    trial_scenario.anchors,
-                    trial_scenario.ud,
-                    trial_scenario.schedule,
-                    trial_scenario.noise,
-                )
+                s = trial_scenario
+                bias = analysis.stationary_assumption_bias(s.anchors, s.ud, s.schedule, s.noise)
                 outcome.pred_rmse_pos = bias.predicted_rmse_position
                 outcome.pred_rmse_clk = bias.predicted_rmse_clock
             record.outcomes[f"{mode.value}@dt{step_ms:g}ms"] = outcome
@@ -308,15 +264,10 @@ def _run_velocity_mismatch(config, scenario, rng, deviation_norm, initial_positi
     assumed = scenario.ud.velocity + deviation_norm * np.array(
         [np.cos(angle), np.sin(angle)]
     )
-    solver = SolverConfig(
-        max_iterations=10,
-        convergence_threshold_m=config.sigma_m / 10.0,
-        known_velocity_mps=assumed,
+    outcome = _solve_mode(
+        scenario, measurements, Mode.KNOWN_VELOCITY, initial_position, config.sigma_m / 10.0,
+        assumed,
     )
-    report, elapsed = _run_mode(
-        scenario, measurements, Mode.KNOWN_VELOCITY, initial_position, solver
-    )
-    outcome = _outcome(scenario, report, elapsed, Mode.KNOWN_VELOCITY)
     bias = analysis.velocity_mismatch_bias(
         scenario.anchors, scenario.ud, scenario.schedule, scenario.noise, assumed
     )
@@ -341,19 +292,8 @@ class SweepPointSummary:
     pos_rmse_unfiltered_m: float = float("nan")
 
     def to_row(self) -> dict:
-        return {
-            "sweep_value": self.sweep_value,
-            "mode": self.mode,
-            "n_trials": self.n_trials,
-            "n_converged": self.n_converged,
-            "pos_rmse_m": self.pos_rmse_m,
-            "clk_rmse_m": self.clk_rmse_m,
-            "pos_crlb_m": self.pos_crlb_m,
-            "clk_crlb_m": self.clk_crlb_m,
-            "pred_rmse_m": "" if self.pred_rmse_m is None else self.pred_rmse_m,
-            "success_rate": self.success_rate,
-            "mean_solve_us": self.mean_solve_us,
-        }
+        row = {column: getattr(self, column) for column in CSV_COLUMNS}
+        return {**row, "pred_rmse_m": "" if self.pred_rmse_m is None else self.pred_rmse_m}
 
 
 def _rmse(values: np.ndarray) -> float:
@@ -412,6 +352,8 @@ def run_sweep_point(config: ExperimentConfig, sweep_index: int) -> list[TrialRec
     """All trial records for one sweep point, in trial-index order."""
     if config.jobs <= 1:
         return [run_trial(config, sweep_index, t) for t in range(config.trials)]
+    from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
+
     chunk = max(1, config.trials // (config.jobs * 8))
     batches = [
         (config, sweep_index, start, min(start + chunk, config.trials))
@@ -429,14 +371,19 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
     # the stationary baseline and mismatch studies measure biased estimators,
     # so the 6*sqrt(CRLB) wrong-solution filter does not apply to them
     correctness_filter = config.kind not in (STATIONARY_BASELINE, VELOCITY_MISMATCH)
+    points = range(len(config.sweep_values))
+    if config.kind == ITERATION_PROFILE and config.jobs <= 1:
+        # every budget replays the same trials: running the budgets of one
+        # trial back to back pairs their solve timings too, so that drift in
+        # machine speed cannot bend the per-iteration cost curve
+        rows = [[run_trial(config, i, t) for i in points] for t in range(config.trials)]
+        per_point = [list(column) for column in zip(*rows)]
+    else:
+        per_point = (run_sweep_point(config, i) for i in points)
     summaries: list[SweepPointSummary] = []
-    for sweep_index, sweep_value in enumerate(config.sweep_values):
-        records = run_sweep_point(config, sweep_index)
-        labels = sorted(records[0].outcomes.keys())
-        for label in labels:
-            summaries.append(
-                aggregate(records, label, sweep_value, correctness_filter)
-            )
+    for sweep_value, records in zip(config.sweep_values, per_point):
+        for label in sorted(records[0].outcomes.keys()):
+            summaries.append(aggregate(records, label, sweep_value, correctness_filter))
     return summaries
 
 

@@ -106,6 +106,24 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
+    def test_non_finite_measurement_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(Path(FIXTURE).read_text())
+        doc["measurements"]["request_m"][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        assert "measurements, delays and weights must be finite" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # a ValueError from inside the program is a fault, not a config error
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr("toaloc.cli.solve", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["solve", FIXTURE])
+
+
 class TestCrlb:
     def test_reports_all_default_modes(self, tmp_path, capsys):
         config, _ = write_scenario_config(tmp_path)

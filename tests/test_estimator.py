@@ -7,6 +7,7 @@ from toaloc.estimator import (
     EstimateReport,
     InsufficientMeasurements,
     Mode,
+    NonFiniteIterate,
     ParamVector,
     SolverConfig,
     default_initial,
@@ -16,7 +17,7 @@ from toaloc.estimator import (
     model_h,
     solve,
 )
-from toaloc.measurement import generate
+from toaloc.measurement import forward, generate
 from toaloc.scenario import (
     AnchorSet,
     NoiseSpec,
@@ -66,6 +67,69 @@ def fd_jacobian(theta, anchors, schedule, known_velocity, step=1e-4):
         f_lo = model_h(ParamVector.from_array(theta.mode, lo, n), anchors, schedule, known_velocity)
         cols.append((f_hi - f_lo) / (2.0 * step))
     return np.column_stack(cols)
+
+
+def oracle_model(mode, anchors, schedule, theta, v):
+    """The model and Jacobian written out block by block with
+    np.linalg.norm, hstack and vstack: the reference forward() must
+    reproduce bit for bit."""
+    pos, dt = anchors.positions, schedule.delays
+    m, n = anchors.count, theta.n_dim
+    diff_tx = pos - theta.position
+    d_req = np.linalg.norm(diff_tx, axis=-1)
+    e = diff_tx / d_req[:, None]
+    ones = np.ones((m, 1))
+    g0 = np.hstack([-e, -ones])
+    if mode is Mode.ONE_WAY:
+        return d_req - theta.clock_offset_m, g0
+    diff_rx = pos - theta.position - v * dt[:, None]
+    d_resp = np.linalg.norm(diff_rx, axis=-1)
+    l = diff_rx / d_resp[:, None]
+    h = np.concatenate(
+        [d_req - theta.clock_offset_m, d_resp + theta.clock_offset_m + theta.clock_drift_mps * dt]
+    )
+    g1 = np.hstack([-l, ones])
+    zeros = np.zeros((m, 1))
+    if mode is Mode.ESTIMATED_VELOCITY:
+        top = np.hstack([g0, zeros, np.zeros((m, n))])
+        bottom = np.hstack([g1, dt[:, None], -l * dt[:, None]])
+    else:
+        top = np.hstack([g0, zeros])
+        bottom = np.hstack([g1, dt[:, None]])
+    return h, np.vstack([top, bottom])
+
+
+class TestForward:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_bit_identical_to_block_oracle(self, mode):
+        rng = np.random.default_rng(116)
+        for _ in range(50):
+            m = int(rng.integers(4, 9))
+            anchors = AnchorSet(rng.uniform(-400, 400, (m, 2)))
+            schedule = ResponseSchedule(np.sort(rng.uniform(0.002, 0.08, m)))
+            theta = random_params(rng, mode, rng.uniform(-250, 250, 2))
+            kv = rng.uniform(-50, 50, 2) if mode is Mode.KNOWN_VELOCITY else None
+            if mode is Mode.ESTIMATED_VELOCITY:
+                v = theta.velocity
+            else:
+                v = kv if kv is not None else np.zeros(2)
+            h, g = forward(
+                anchors.positions,
+                schedule.delays,
+                theta.position,
+                v,
+                theta.clock_offset_m,
+                theta.clock_drift_mps,
+                response=mode is not Mode.ONE_WAY,
+                jacobian=True,
+                velocity_columns=mode is Mode.ESTIMATED_VELOCITY,
+            )
+            h_ref, g_ref = oracle_model(mode, anchors, schedule, theta, v)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(g, g_ref)
+            assert g.flags.c_contiguous
+            assert np.array_equal(model_h(theta, anchors, schedule, kv), h_ref)
+            assert np.array_equal(design_matrix(theta, anchors, schedule, kv), g_ref)
 
 
 class TestDesignMatrix:
@@ -261,6 +325,26 @@ class TestSolve:
         initial = default_initial(Mode.KNOWN_VELOCITY, sc.ud.position, meas)
         with pytest.raises(ValueError):
             solve(meas, sc.anchors, SolverConfig(), initial)
+
+    def test_non_finite_initial_position_is_reported(self):
+        rng = np.random.default_rng(117)
+        sc = benchmark_scenario(rng)
+        meas = generate(sc, rng)
+        for guess in ([np.inf, 0.0], [0.0, np.nan]):
+            initial = default_initial(Mode.ESTIMATED_VELOCITY, guess, meas)
+            report = solve(meas, sc.anchors, SolverConfig(), initial)
+            assert not report.converged
+            assert report.iterations_used == 0
+            assert report.failure_reason.startswith("NonFiniteIterate")
+
+    def test_non_finite_iterate_stops_the_step(self):
+        rng = np.random.default_rng(118)
+        sc = benchmark_scenario(rng)
+        meas = generate(sc, rng)
+        theta = default_initial(Mode.ESTIMATED_VELOCITY, sc.ud.position, meas)
+        theta.clock_offset_m = np.inf
+        with pytest.raises(NonFiniteIterate):
+            gauss_newton_step(theta, meas, sc.anchors, SolverConfig())
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(113)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from toaloc.linalg import (
     DimensionMismatch,
+    NonFiniteMatrix,
     SingularMatrix,
     invert_spd,
     is_positive_semidefinite,
@@ -83,6 +85,10 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrix):
             solve_spd(np.diag([1.0, -1.0]), np.ones(2))
 
+    def test_non_finite_raises(self):
+        with pytest.raises(NonFiniteMatrix):
+            solve_spd(np.diag([1.0, np.nan]), np.ones(2))
+
 
 class TestInvertSpd:
     def test_diagonal(self):
@@ -103,6 +109,34 @@ class TestInvertSpd:
         m = rng.normal(size=(6, 6))
         inv = invert_spd(m.T @ m + np.eye(6))
         assert np.max(np.abs(inv - inv.T)) <= 1e-10 * np.max(np.abs(inv))
+
+
+def reference_solve_spd(a, b):
+    """numpy Cholesky factor and two scipy triangular solves: the reference
+    the direct LAPACK path of solve_spd must reproduce bit for bit."""
+    low = np.linalg.cholesky(a)
+    y = solve_triangular(low, b, lower=True, check_finite=False)
+    return solve_triangular(low, y, trans="T", lower=True, check_finite=False)
+
+
+def random_spd_systems(seed, count=200):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        m = rng.normal(size=(n + int(rng.integers(0, 4)), n)) * 10.0 ** rng.uniform(-3, 3, n)
+        yield m.T @ m + 1e-3 * np.eye(n), rng.normal(size=n), rng.normal(size=(n, 2))
+
+
+class TestBitIdentity:
+    def test_solve_spd_matches_triangular_reference(self):
+        for a, b_vec, b_mat in random_spd_systems(6):
+            for b in (b_vec, b_mat, np.eye(a.shape[0])):
+                assert np.array_equal(solve_spd(a, b), reference_solve_spd(a, b))
+
+    def test_invert_spd_matches_triangular_reference(self):
+        for a, _, _ in random_spd_systems(7):
+            inv = reference_solve_spd(a, np.eye(a.shape[0]))
+            assert np.array_equal(invert_spd(a), 0.5 * (inv + inv.T))
 
 
 class TestIsPositiveSemidefinite:

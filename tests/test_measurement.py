@@ -5,6 +5,7 @@ import pytest
 
 from toaloc.measurement import (
     DegenerateGeometry,
+    InvalidMeasurements,
     InvalidNoise,
     ToaMeasurementSet,
     build_weights,
@@ -145,6 +146,35 @@ class TestGenerate:
                 ),
                 rel=1e-12,
             )
+
+
+class TestValidation:
+    def test_non_finite_measurements_rejected(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(12)), np.random.default_rng(0))
+        for field, bad in (("request", np.nan), ("response", np.inf)):
+            values = getattr(meas, field).copy()
+            values[1] = bad
+            with pytest.raises(InvalidMeasurements):
+                ToaMeasurementSet(
+                    request=values if field == "request" else meas.request,
+                    response=values if field == "response" else meas.response,
+                    schedule=meas.schedule,
+                    weights=meas.weights,
+                )
+
+    def test_non_finite_delay_rejected(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(13)), np.random.default_rng(0))
+        schedule = ResponseSchedule(meas.schedule.delays.copy())
+        schedule.delays[2] = np.nan  # arrays stay writable inside frozen dataclasses
+        with pytest.raises(InvalidMeasurements):
+            ToaMeasurementSet(meas.request, meas.response, schedule, meas.weights)
+
+    def test_non_finite_json_rejected(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(14)), np.random.default_rng(0))
+        doc = json.loads(meas.to_json())
+        doc["request_m"][0] = float("nan")
+        with pytest.raises(InvalidMeasurements):
+            ToaMeasurementSet.from_json(json.dumps(doc))
 
 
 class TestSerialization:

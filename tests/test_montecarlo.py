@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,18 @@ class TestRunExperiment:
             for label in a.outcomes:
                 assert a.outcomes[label].pos_err_m == b.outcomes[label].pos_err_m
                 assert a.outcomes[label].clk_err_m == b.outcomes[label].clk_err_m
+
+    def test_interleaved_iteration_profile_matches_per_point_runs(self):
+        # jobs=1 runs the budgets of each trial back to back, jobs=2 runs
+        # each budget's trials in workers; everything but timing must agree
+        config = ExperimentConfig(
+            kind="iteration-profile", sweep_values=(1.0, 2.0, 4.0), trials=6
+        )
+        rows = [
+            [repr({**s.to_row(), "mean_solve_us": None}) for s in run_experiment(c)]
+            for c in (config, replace(config, jobs=2))
+        ]
+        assert rows[0] == rows[1]  # repr, so that NaN RMSEs compare equal
 
     def test_summary_rows_per_sweep_point(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1, 1.0), trials=5)

@@ -108,6 +108,15 @@ class TestBenchmarkScenario:
         sc = benchmark_scenario(np.random.default_rng(14), speed_mps=30.0)
         assert np.linalg.norm(sc.ud.velocity) == pytest.approx(30.0)
 
+    def test_fixed_parts_shared_read_only(self):
+        rng = np.random.default_rng(15)
+        a, b = benchmark_scenario(rng, sigma_m=0.3), benchmark_scenario(rng, sigma_m=0.3)
+        assert a.anchors is b.anchors and a.schedule is b.schedule and a.noise is b.noise
+        assert benchmark_scenario(rng, sigma_m=0.4).noise.sigma_response == 0.4
+        for array in (a.anchors.positions, a.schedule.delays, a.noise.sigma_request):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
 
 class TestSerialization:
     def test_json_round_trip(self):
