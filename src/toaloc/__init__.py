@@ -8,16 +8,12 @@ from .scenario import (
     Scenario,
     UdState,
     benchmark_scenario,
-    propagate,
 )
 from .measurement import (
     DegenerateGeometry,
     InvalidNoise,
     ToaMeasurementSet,
-    build_weights,
     generate,
-    model_request_toa,
-    model_response_toa,
 )
 from .estimator import (
     EstimateReport,
@@ -29,7 +25,6 @@ from .estimator import (
     default_initial,
     design_matrix,
     gauss_newton_step,
-    los_vectors,
     model_h,
     solve,
 )
@@ -52,12 +47,8 @@ __all__ = [
     "NoiseSpec",
     "Scenario",
     "benchmark_scenario",
-    "propagate",
     "ToaMeasurementSet",
-    "build_weights",
     "generate",
-    "model_request_toa",
-    "model_response_toa",
     "DegenerateGeometry",
     "InvalidNoise",
     "Mode",
@@ -67,7 +58,6 @@ __all__ = [
     "InsufficientMeasurements",
     "SingularNormalEquations",
     "model_h",
-    "los_vectors",
     "design_matrix",
     "gauss_newton_step",
     "solve",

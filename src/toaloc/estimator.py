@@ -192,19 +192,6 @@ def model_h(
     return _forward(theta, anchors, schedule, known_velocity)
 
 
-def los_vectors(
-    theta: ParamVector,
-    anchors: AnchorSet,
-    schedule: ResponseSchedule,
-    known_velocity: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit line-of-sight vectors at transmit (e_i) and receive (l_i) time."""
-    v = _resolve_velocity(theta, known_velocity)
-    _, g = forward(anchors.positions, schedule.delays, theta.position, v, 0.0, 0.0, jacobian=True)
-    m, n = anchors.count, theta.n_dim
-    return -g[:m, :n], -g[m:, :n]
-
-
 def design_matrix(
     theta: ParamVector,
     anchors: AnchorSet,
@@ -215,30 +202,20 @@ def design_matrix(
     return _forward(theta, anchors, schedule, known_velocity, jacobian=True)[1]
 
 
-def _fit_data(measurements: ToaMeasurementSet, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """The observed vector and weight diagonal the mode fits."""
-    w = measurements.weights.diagonal()
-    if mode.uses_response:
-        return measurements.stacked, w
-    return measurements.request, w[: measurements.count]
-
-
 def gauss_newton_step(
     theta: ParamVector,
     measurements: ToaMeasurementSet,
     anchors: AnchorSet,
     config: SolverConfig,
-    observed: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """One WLS update: delta = (G'WG)^-1 G'W r, plus the weighted residual norm.
 
-    ``solve`` passes the mode's observed vector and weight diagonal, built
-    once per solve rather than once per step."""
-    if observed is None:
-        observed, weights = _fit_data(measurements, theta.mode)
+    The mode fits the leading rows of the stacked measurements: all 2M, or
+    the M request rows for one-way data."""
     h, g = _forward(theta, anchors, measurements.schedule, config.known_velocity_mps, jacobian=True)
-    r = observed - h
+    rows = h.size
+    r = measurements.stacked[:rows] - h
+    weights = measurements.weights[:rows]
     res_norm = math.sqrt(r @ (weights * r))
     if not math.isfinite(res_norm):
         raise NonFiniteIterate("weighted residual is not finite")
@@ -297,11 +274,9 @@ def solve(
 
     threshold = config.convergence_threshold_m
     if threshold is None:
-        # sigma/10 with sigma taken from the response weighting block (or the
-        # request block for one-way data); weights are 1/sigma^2.
-        threshold = 1.0 / math.sqrt(measurements.weights.diagonal().max()) / 10.0
+        # sigma/10 with sigma the smallest measurement sigma; weights are 1/sigma^2.
+        threshold = 1.0 / math.sqrt(measurements.weights.max()) / 10.0
 
-    observed, weights = _fit_data(measurements, mode)
     theta = initial.to_array()
     if not np.isfinite(theta).all():
         return EstimateReport(
@@ -314,9 +289,7 @@ def solve(
     current = initial
     for _ in range(config.max_iterations):
         try:
-            delta, res_norm = gauss_newton_step(
-                current, measurements, anchors, config, observed, weights
-            )
+            delta, res_norm = gauss_newton_step(current, measurements, anchors, config)
         except (SingularNormalEquations, DegenerateGeometry, NonFiniteIterate) as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break

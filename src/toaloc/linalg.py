@@ -14,6 +14,7 @@ differently and would change the solver's outputs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 # A Cholesky pivot d_jj below this fraction of the largest diagonal entry
 # of the input declares the matrix numerically singular.
@@ -39,17 +40,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return a
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit conformance checking."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -79,8 +69,6 @@ def solve_spd(a, b) -> np.ndarray:
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, expected {n}")
     up = _cholesky(a).T
-    from scipy.linalg.lapack import dtrtrs
-
     y, _ = dtrtrs(up, b, lower=0, trans=1)
     x, info = dtrtrs(up, y, lower=0, trans=0)
     if info != 0:

@@ -9,18 +9,20 @@ range-equivalent meters:
   reply after delay dt_i:  ||p_i - p - v*dt_i|| + c*b + c*omega*dt_i
 
 where p, v, b, omega are the device state at request transmission time.
-All noises are independent zero-mean Gaussians. ``forward`` evaluates this
-model and its Jacobian for synthesis, the solver and the Fisher information.
+All noises are independent zero-mean Gaussians, so the ML weighting is the
+diagonal diag(1/sigma^2), held as a vector of 2M inverse variances.
+``forward`` evaluates this model and its Jacobian for synthesis, the solver
+and the Fisher information.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import NoiseSpec, ResponseSchedule, Scenario, UdState
+from .scenario import NoiseSpec, ResponseSchedule, Scenario
 
 # Distances below this are treated as a degenerate device/anchor overlap.
 MIN_RANGE_M = 1e-9
@@ -40,12 +42,17 @@ class InvalidMeasurements(ValueError):
 
 @dataclass(frozen=True)
 class ToaMeasurementSet:
-    """2M stacked range-equivalent measurements with their weighting matrix."""
+    """2M stacked range-equivalent measurements with their weighting diagonal.
+
+    ``stacked`` is the 2M vector [request, response], built once here;
+    ``request`` and ``response`` are views of its two halves.
+    """
 
     request: np.ndarray  # (M,) m
     response: np.ndarray  # (M,) m
     schedule: ResponseSchedule
-    weights: np.ndarray  # (2M, 2M) diagonal, positive
+    weights: np.ndarray  # (2M,) inverse variances 1/sigma^2, positive
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)  # (2M,) m
 
     def __post_init__(self):
         req = np.asarray(self.request, dtype=float)
@@ -53,40 +60,32 @@ class ToaMeasurementSet:
         m = req.size
         if resp.size != m or self.schedule.delays.size != m:
             raise InvalidMeasurements("request, response and schedule lengths must match")
+        stacked = np.concatenate([req, resp])
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (2 * m, 2 * m):
-            raise InvalidMeasurements(f"weights must be {2*m}x{2*m}, got {w.shape}")
-        diag = w.diagonal()
-        if not np.isfinite(np.concatenate([req, resp, self.schedule.delays, diag])).all():
+        if w.shape != (2 * m,):
+            raise InvalidMeasurements(f"weights must be a vector of {2*m} entries, got {w.shape}")
+        if not np.isfinite(np.concatenate([stacked, self.schedule.delays, w])).all():
             raise InvalidMeasurements("measurements, delays and weights must be finite")
-        if (diag <= 0.0).any() or (w != np.diag(diag)).any():
-            raise InvalidMeasurements("weights must be diagonal with positive diagonal")
-        object.__setattr__(self, "request", req)
-        object.__setattr__(self, "response", resp)
+        if (w <= 0.0).any():
+            raise InvalidMeasurements("weights must be positive")
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "request", stacked[:m])
+        object.__setattr__(self, "response", stacked[m:])
         object.__setattr__(self, "weights", w)
 
     @property
     def count(self) -> int:
         return self.request.size
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """The 2M measurement vector [request, response]."""
-        return np.concatenate([self.request, self.response])
-
-    def to_json(self, noise: NoiseSpec | None = None) -> str:
+    def to_json(self) -> str:
+        sigma = 1.0 / np.sqrt(self.weights)
         doc = {
             "request_m": self.request.tolist(),
             "response_m": self.response.tolist(),
             "delta_t_s": self.schedule.delays.tolist(),
             "sigma_m": {
-                "request": (1.0 / np.sqrt(np.diag(self.weights)[: self.count])).tolist(),
-                "response": float(1.0 / np.sqrt(np.diag(self.weights)[self.count])),
-            }
-            if noise is None
-            else {
-                "request": noise.sigma_request.tolist(),
-                "response": noise.sigma_response,
+                "request": sigma[: self.count].tolist(),
+                "response": float(sigma[self.count]),
             },
         }
         return json.dumps(doc, indent=2)
@@ -103,31 +102,8 @@ class ToaMeasurementSet:
             request=np.asarray(doc["request_m"], dtype=float),
             response=np.asarray(doc["response_m"], dtype=float),
             schedule=ResponseSchedule(np.asarray(doc["delta_t_s"], dtype=float)),
-            weights=build_weights(noise),
+            weights=weight_vector(noise),
         )
-
-
-def _ranges(diffs: np.ndarray) -> np.ndarray:
-    # the formula np.linalg.norm(axis=-1) evaluates, without its dispatch
-    d = np.sqrt(np.add.reduce(diffs * diffs, axis=-1))
-    if d.min() < MIN_RANGE_M:
-        raise DegenerateGeometry("position coincides with an anchor")
-    return d
-
-
-def model_request_toa(anchor: np.ndarray, ud: UdState) -> float:
-    """Noise-free request measurement ||p_i - p|| - c*b, in meters."""
-    d = _ranges(np.atleast_2d(np.asarray(anchor, dtype=float) - ud.position))
-    return float(d[0]) - ud.clock_offset_m
-
-
-def model_response_toa(anchor: np.ndarray, ud: UdState, delta_t: float) -> float:
-    """Noise-free response measurement after delay delta_t, in meters."""
-    if delta_t <= 0.0:
-        raise ValueError("delta_t must be positive")
-    disp = np.asarray(anchor, dtype=float) - ud.position - ud.velocity * delta_t
-    d = _ranges(np.atleast_2d(disp))
-    return float(d[0]) + ud.clock_offset_m + ud.clock_drift_mps * delta_t
 
 
 def forward(
@@ -148,7 +124,10 @@ def forward(
     np.subtract(position, anchors_m, out=u[:m])
     if response:
         np.add(u[:m], velocity * delays[:, None], out=u[m:])
-    h = _ranges(u)
+    # ranges by the formula np.linalg.norm(axis=-1) evaluates, without its dispatch
+    h = np.sqrt(np.add.reduce(u * u, axis=-1))
+    if h.min() < MIN_RANGE_M:
+        raise DegenerateGeometry("position coincides with an anchor")
     if jacobian:
         g = np.zeros((rows, 2 * n + 2 if velocity_columns else n + 2 if response else n + 1))
         np.divide(u, h[:, None], out=g[:, :n])
@@ -165,16 +144,6 @@ def forward(
     return (h, g) if jacobian else h
 
 
-def model_stacked(
-    anchors_m: np.ndarray, ud: UdState, schedule: ResponseSchedule
-) -> np.ndarray:
-    """Vectorized noise-free [request, response] model, 2M entries."""
-    pos = np.asarray(anchors_m, dtype=float)
-    return forward(
-        pos, schedule.delays, ud.position, ud.velocity, ud.clock_offset_m, ud.clock_drift_mps
-    )
-
-
 def weight_vector(noise: NoiseSpec) -> np.ndarray:
     """Weighting diagonal [1/sigma_i^2, ..., 1/sigma^2, ...], 2M entries."""
     if (noise.sigma_request <= 0.0).any() or noise.sigma_response <= 0.0:
@@ -183,11 +152,6 @@ def weight_vector(noise: NoiseSpec) -> np.ndarray:
     return np.concatenate(
         [1.0 / noise.sigma_request**2, np.full(m, 1.0 / noise.sigma_response**2)]
     )
-
-
-def build_weights(noise: NoiseSpec) -> np.ndarray:
-    """Diagonal 2M x 2M weighting matrix diag(1/sigma_i^2, ..., 1/sigma^2, ...)."""
-    return np.diag(weight_vector(noise))
 
 
 def generate(
@@ -201,25 +165,26 @@ def generate(
     differing only in their schedules produce identical request halves for
     the same generator state. Response noises are i.i.d. per anchor.
 
-    When any sigma is zero the measurements are exact at that index and the
-    weighting matrix falls back to identity (a zero-variance measurement has
-    no finite ML weight).
+    When any sigma is zero the measurements are exact at that index and every
+    weight falls back to one (a zero-variance measurement has no finite ML
+    weight).
     """
     if noise is None:
         noise = scenario.noise
-    pos = scenario.anchors.positions
     ud = scenario.ud
-    dt = scenario.schedule.delays
     m = scenario.anchors.count
 
-    model = model_stacked(pos, ud, scenario.schedule)
+    model = forward(
+        scenario.anchors.positions, scenario.schedule.delays, ud.position, ud.velocity,
+        ud.clock_offset_m, ud.clock_drift_mps,
+    )
     eps_req = rng.normal(0.0, 1.0, size=m) * noise.sigma_request
     eps_resp = rng.normal(0.0, 1.0, size=m) * noise.sigma_response
 
     if np.all(noise.sigma_request > 0.0) and noise.sigma_response > 0.0:
-        weights = build_weights(noise)
+        weights = weight_vector(noise)
     else:
-        weights = np.eye(2 * m)
+        weights = np.ones(2 * m)
 
     return ToaMeasurementSet(
         request=model[:m] + eps_req,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,16 +116,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        d = {f.name: f.default for f in fields(cls)} | doc  # absent keys keep the defaults
         return cls(
             kind=doc["kind"],
             sweep_values=tuple(float(v) for v in doc["sweep_values"]),
-            trials=int(doc.get("trials", 40_000)),
-            base_seed=int(doc.get("base_seed", 20260823)),
-            modes=tuple(Mode(m) for m in doc.get("modes", ["known-velocity", "estimated-velocity"])),
-            initial_radius_m=float(doc.get("initial_radius_m", 50.0)),
-            sigma_m=float(doc.get("sigma_m", 0.1)),
-            delay_step_ms=tuple(float(v) for v in doc.get("delay_step_ms", [10.0])),
-            jobs=int(doc.get("jobs", 1)),
+            trials=int(d["trials"]),
+            base_seed=int(d["base_seed"]),
+            modes=tuple(Mode(m) for m in d["modes"]),
+            initial_radius_m=float(d["initial_radius_m"]),
+            sigma_m=float(d["sigma_m"]),
+            delay_step_ms=tuple(float(v) for v in d["delay_step_ms"]),
+            jobs=int(d["jobs"]),
         )
 
 

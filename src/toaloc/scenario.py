@@ -110,18 +110,13 @@ class ResponseSchedule:
             raise ValueError("delays must be finite and positive")
         object.__setattr__(self, "delays", d)
 
-    def validate_sequential(self) -> None:
-        """Require strictly increasing delays (sequential response protocol)."""
-        if np.any(np.diff(self.delays) <= 0.0):
-            raise ValueError("sequential schedule requires strictly increasing delays")
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Range-equivalent noise standard deviations in meters.
 
     Zero sigmas are accepted so that exact, noise-free measurement sets can
-    be synthesized; weighting matrices require strictly positive sigmas.
+    be synthesized; weights require strictly positive sigmas.
     """
 
     sigma_request: np.ndarray  # (M,) m, per anchor
@@ -198,18 +193,6 @@ class Scenario:
                 float(doc["noise_m"]["response"]),
             ),
         )
-
-
-def propagate(state: UdState, dt: float) -> UdState:
-    """Advance the device state by dt under constant velocity and clock drift."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    return UdState(
-        position=state.position + state.velocity * dt,
-        velocity=state.velocity,
-        clock_offset=state.clock_offset + state.clock_drift * dt,
-        clock_drift=state.clock_drift,
-    )
 
 
 @lru_cache(maxsize=64)

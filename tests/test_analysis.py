@@ -19,7 +19,7 @@ from toaloc.estimator import (
     solve,
 )
 from toaloc.linalg import is_positive_semidefinite
-from toaloc.measurement import build_weights, generate
+from toaloc.measurement import generate, weight_vector
 from toaloc.scenario import (
     AnchorSet,
     NoiseSpec,
@@ -73,7 +73,7 @@ def fd_fim(mode, anchors, ud, schedule, noise, step=1e-4):
         f_lo = model_h(ParamVector.from_array(mode, lo, 2), anchors, schedule, kv)
         cols.append((f_hi - f_lo) / (2.0 * step))
     jac = np.column_stack(cols)
-    w = np.diag(build_weights(noise))
+    w = weight_vector(noise)
     if mode is Mode.ONE_WAY:
         w = w[: anchors.count]
     return jac.T @ (jac * w[:, None])

@@ -8,11 +8,9 @@ from toaloc.measurement import (
     InvalidMeasurements,
     InvalidNoise,
     ToaMeasurementSet,
-    build_weights,
+    forward,
     generate,
-    model_request_toa,
-    model_response_toa,
-    model_stacked,
+    weight_vector,
 )
 from toaloc.scenario import (
     SPEED_OF_LIGHT,
@@ -30,12 +28,29 @@ def make_state(p=(0.0, 0.0), v=(0.0, 0.0), b=0.0, w=0.0):
     return UdState(np.asarray(p, float), np.asarray(v, float), b, w)
 
 
+def rows(anchor, state, delta_t=0.01):
+    """forward's request and response rows for one anchor."""
+    h = forward(
+        np.atleast_2d(np.asarray(anchor, float)), np.array([delta_t]), state.position,
+        state.velocity, state.clock_offset_m, state.clock_drift_mps,
+    )
+    return h[0], h[1]
+
+
+def model_of(sc):
+    ud = sc.ud
+    return forward(
+        sc.anchors.positions, sc.schedule.delays, ud.position, ud.velocity,
+        ud.clock_offset_m, ud.clock_drift_mps,
+    )
+
+
 class TestRequestModel:
     def test_zero_clock(self):
-        assert model_request_toa([300.0, 0.0], make_state()) == pytest.approx(300.0)
+        assert rows([300.0, 0.0], make_state())[0] == pytest.approx(300.0)
 
     def test_clock_offset_in_range_units(self):
-        got = model_request_toa([300.0, 0.0], make_state(b=1e-6))
+        got = rows([300.0, 0.0], make_state(b=1e-6))[0]
         assert got == pytest.approx(300.0 - C * 1e-6, rel=1e-12)
 
     def test_translation_invariance(self):
@@ -45,58 +60,58 @@ class TestRequestModel:
             state = make_state(p=rng.uniform(-200, 200, 2), b=rng.uniform(-1, 1))
             shift = rng.uniform(-1000, 1000, 2)
             shifted = make_state(p=state.position + shift, b=state.clock_offset)
-            assert model_request_toa(anchor + shift, shifted) == pytest.approx(
-                model_request_toa(anchor, state), rel=1e-12
+            assert rows(anchor + shift, shifted)[0] == pytest.approx(
+                rows(anchor, state)[0], rel=1e-12
             )
 
     def test_coincident_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            model_request_toa([1.0, 2.0], make_state(p=(1.0, 2.0)))
+            rows([1.0, 2.0], make_state(p=(1.0, 2.0)))
 
 
 class TestResponseModel:
     def test_stationary_zero_clock(self):
-        got = model_response_toa([300.0, 0.0], make_state(), 0.01)
-        assert got == pytest.approx(300.0)
+        assert rows([300.0, 0.0], make_state())[1] == pytest.approx(300.0)
 
     def test_direct_evaluation(self):
-        got = model_response_toa([300.0, 0.0], make_state(v=(10.0, 0.0), w=1e-5), 0.01)
+        got = rows([300.0, 0.0], make_state(v=(10.0, 0.0), w=1e-5), 0.01)[1]
         assert got == pytest.approx(299.9 + C * 1e-5 * 0.01, rel=1e-12)
 
     def test_round_trip_cancels_geometry(self):
         # stationary, zero drift: response - request = 2*c*b
-        state = make_state(p=(12.0, -7.0), b=3e-7)
-        anchor = [200.0, 100.0]
-        diff = model_response_toa(anchor, state, 0.02) - model_request_toa(anchor, state)
-        assert diff == pytest.approx(2.0 * C * 3e-7, rel=1e-12)
+        request, response = rows([200.0, 100.0], make_state(p=(12.0, -7.0), b=3e-7), 0.02)
+        assert response - request == pytest.approx(2.0 * C * 3e-7, rel=1e-12)
 
     def test_nonpositive_delay_rejected(self):
+        # forward trusts its delays: a zero delay is stopped where measurements are read
+        meas = generate(benchmark_scenario(np.random.default_rng(15)), np.random.default_rng(0))
+        doc = json.loads(meas.to_json())
+        doc["delta_t_s"][1] = 0.0
         with pytest.raises(ValueError):
-            model_response_toa([300.0, 0.0], make_state(), 0.0)
+            ToaMeasurementSet.from_json(json.dumps(doc))
 
 
 class TestBuildWeights:
     def test_unit_sigma_gives_identity(self):
-        w = build_weights(NoiseSpec.uniform(1.0, 3))
-        assert np.array_equal(w, np.eye(6))
+        assert np.array_equal(weight_vector(NoiseSpec.uniform(1.0, 3)), np.ones(6))
 
     def test_inverse_variance_entries(self):
-        w = build_weights(NoiseSpec(np.array([0.5, 1.0, 1.0]), 1.0))
-        assert w[0, 0] == pytest.approx(4.0)
-        assert np.allclose(np.diag(w)[1:], 1.0)
+        w = weight_vector(NoiseSpec(np.array([0.5, 1.0, 1.0]), 1.0))
+        assert w[0] == pytest.approx(4.0)
+        assert np.allclose(w[1:], 1.0)
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(InvalidNoise):
-            build_weights(NoiseSpec(np.array([0.0, 1.0]), 1.0))
+            weight_vector(NoiseSpec(np.array([0.0, 1.0]), 1.0))
 
     def test_diagonal_positive_for_random_specs(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             m = int(rng.integers(2, 9))
             spec = NoiseSpec(rng.uniform(0.01, 5.0, m), float(rng.uniform(0.01, 5.0)))
-            w = build_weights(spec)
-            assert np.all(np.diag(w) > 0)
-            assert np.count_nonzero(w - np.diag(np.diag(w))) == 0
+            w = weight_vector(spec)
+            assert w.shape == (2 * m,)
+            assert np.all(w > 0)
 
 
 class TestGenerate:
@@ -104,8 +119,8 @@ class TestGenerate:
         sc = benchmark_scenario(np.random.default_rng(2))
         quiet = Scenario(sc.anchors, sc.ud, sc.schedule, NoiseSpec.uniform(0.0, 4))
         meas = generate(quiet, np.random.default_rng(0))
-        model = model_stacked(sc.anchors.positions, sc.ud, sc.schedule)
-        assert np.array_equal(meas.stacked, model)
+        assert np.array_equal(meas.stacked, model_of(sc))
+        assert np.array_equal(meas.weights, np.ones(8))
 
     def test_deterministic(self):
         sc = benchmark_scenario(np.random.default_rng(3), sigma_m=0.3)
@@ -116,7 +131,7 @@ class TestGenerate:
 
     def test_noise_standard_deviation(self):
         sc = benchmark_scenario(np.random.default_rng(4), sigma_m=1.0)
-        model = model_stacked(sc.anchors.positions, sc.ud, sc.schedule)
+        model = model_of(sc)
         rng = np.random.default_rng(5)
         deviations = np.concatenate(
             [generate(sc, rng).stacked - model for _ in range(12_500)]
@@ -133,19 +148,20 @@ class TestGenerate:
         assert np.array_equal(a.request, b.request)
 
     def test_matches_scalar_models(self):
+        # per-anchor evaluation of the two measurement equations
         sc = benchmark_scenario(np.random.default_rng(7))
         quiet = Scenario(sc.anchors, sc.ud, sc.schedule, NoiseSpec.uniform(0.0, 4))
         meas = generate(quiet, np.random.default_rng(0))
+        ud = sc.ud
         for i in range(4):
-            assert meas.request[i] == pytest.approx(
-                model_request_toa(sc.anchors.positions[i], sc.ud), rel=1e-12
+            anchor, dt = sc.anchors.positions[i], sc.schedule.delays[i]
+            request = np.linalg.norm(anchor - ud.position) - ud.clock_offset_m
+            response = (
+                np.linalg.norm(anchor - ud.position - ud.velocity * dt)
+                + ud.clock_offset_m + ud.clock_drift_mps * dt
             )
-            assert meas.response[i] == pytest.approx(
-                model_response_toa(
-                    sc.anchors.positions[i], sc.ud, sc.schedule.delays[i]
-                ),
-                rel=1e-12,
-            )
+            assert meas.request[i] == pytest.approx(request, rel=1e-12)
+            assert meas.response[i] == pytest.approx(response, rel=1e-12)
 
 
 class TestValidation:
@@ -169,6 +185,18 @@ class TestValidation:
         with pytest.raises(InvalidMeasurements):
             ToaMeasurementSet(meas.request, meas.response, schedule, meas.weights)
 
+    def test_dense_weight_matrix_rejected(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(16)), np.random.default_rng(0))
+        with pytest.raises(InvalidMeasurements):
+            ToaMeasurementSet(meas.request, meas.response, meas.schedule, np.diag(meas.weights))
+
+    def test_non_positive_weight_rejected(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(17)), np.random.default_rng(0))
+        weights = meas.weights.copy()
+        weights[5] = 0.0
+        with pytest.raises(InvalidMeasurements):
+            ToaMeasurementSet(meas.request, meas.response, meas.schedule, weights)
+
     def test_non_finite_json_rejected(self):
         meas = generate(benchmark_scenario(np.random.default_rng(14)), np.random.default_rng(0))
         doc = json.loads(meas.to_json())
@@ -177,11 +205,30 @@ class TestValidation:
             ToaMeasurementSet.from_json(json.dumps(doc))
 
 
+class TestLayout:
+    def test_halves_are_views_of_stacked(self):
+        meas = generate(benchmark_scenario(np.random.default_rng(18)), np.random.default_rng(0))
+        assert np.shares_memory(meas.request, meas.stacked)
+        assert np.shares_memory(meas.response, meas.stacked)
+        meas.response[0] += 1.0
+        assert meas.stacked[meas.count] == meas.response[0]
+
+
+# generate(...).to_json() of the seeded epoch below, recorded from the dense
+# weight-matrix layout; the sigmas are derived from the stored weights
+GOLDEN_JSON = (
+    '{"request_m": [-60856563.523271956, -60856562.88743685, -60856312.95466318, '
+    '-60856313.45283763], "response_m": [60857176.524224006, 60857149.27829727, '
+    '60857370.74245805, 60857341.83927253], "delta_t_s": [0.01, 0.02, 0.03, 0.04], '
+    '"sigma_m": {"request": [0.1, 0.2, 0.3, 0.6999999999999998], "response": 0.25}}'
+)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         sc = benchmark_scenario(np.random.default_rng(9), sigma_m=0.4)
         meas = generate(sc, np.random.default_rng(10))
-        back = ToaMeasurementSet.from_json(meas.to_json(noise=sc.noise))
+        back = ToaMeasurementSet.from_json(meas.to_json())
         assert np.allclose(back.request, meas.request)
         assert np.allclose(back.response, meas.response)
         assert np.allclose(back.schedule.delays, meas.schedule.delays)
@@ -191,3 +238,10 @@ class TestSerialization:
         sc = benchmark_scenario(np.random.default_rng(11))
         doc = json.loads(generate(sc, np.random.default_rng(0)).to_json())
         assert set(doc) == {"request_m", "response_m", "delta_t_s", "sigma_m"}
+
+    def test_json_matches_golden(self):
+        sc = benchmark_scenario(np.random.default_rng(11))
+        noise = NoiseSpec(np.array([0.1, 0.2, 0.3, 0.7]), 0.25)
+        sc = Scenario(sc.anchors, sc.ud, sc.schedule, noise)
+        text = generate(sc, np.random.default_rng(0)).to_json()
+        assert text == json.dumps(json.loads(GOLDEN_JSON), indent=2)

@@ -120,6 +120,11 @@ class TestConfig:
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        for kind in ("noise-sweep", "success-rate"):
+            doc = {"kind": kind, "sweep_values": [1.0, 5.0]}
+            assert ExperimentConfig.from_dict(doc) == ExperimentConfig(kind, (1.0, 5.0))
+
 
 def make_outcome(pos_err, clk_err=0.5, converged=True, crlb=1.0):
     return ModeOutcome(

@@ -7,49 +7,9 @@ from toaloc.scenario import (
     NoiseSpec,
     ResponseSchedule,
     Scenario,
-    UdState,
     benchmark_scenario,
     ppm_to_drift,
-    propagate,
 )
-
-
-def make_state(p=(0.0, 0.0), v=(0.0, 0.0), b=0.0, w=0.0):
-    return UdState(np.asarray(p, float), np.asarray(v, float), b, w)
-
-
-class TestPropagate:
-    def test_static_state_keeps_offset(self):
-        s = make_state(b=0.5)
-        out = propagate(s, 1.0)
-        assert np.array_equal(out.position, s.position)
-        assert out.clock_offset == 0.5
-
-    def test_direct_evaluation(self):
-        s = make_state(v=(10.0, 0.0), w=1e-5)
-        out = propagate(s, 0.01)
-        assert np.allclose(out.position, [0.1, 0.0], atol=1e-15)
-        assert out.clock_offset == pytest.approx(1e-7, rel=1e-12)
-
-    def test_semigroup(self):
-        s = make_state(p=(3.0, -4.0), v=(1.5, 2.5), b=0.2, w=3e-6)
-        a = propagate(propagate(s, 0.25), 0.75)
-        b = propagate(s, 1.0)
-        assert np.array_equal(a.position, b.position)
-        assert a.clock_offset == b.clock_offset
-
-    def test_affine_in_dt(self):
-        # three-point collinearity on each component
-        s = make_state(p=(1.0, 2.0), v=(3.0, -1.0), b=0.1, w=5e-6)
-        s0, s1, s2 = propagate(s, 0.0), propagate(s, 1.0), propagate(s, 2.0)
-        assert np.allclose(s2.position - s1.position, s1.position - s0.position)
-        assert (s2.clock_offset - s1.clock_offset) == pytest.approx(
-            s1.clock_offset - s0.clock_offset
-        )
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(make_state(), -0.1)
 
 
 class TestTypes:
@@ -60,12 +20,6 @@ class TestTypes:
     def test_schedule_positive(self):
         with pytest.raises(ValueError):
             ResponseSchedule(np.array([0.0, 0.01]))
-
-    def test_sequential_validation(self):
-        ResponseSchedule(np.array([0.01, 0.02])).validate_sequential()
-        equal = ResponseSchedule(np.array([0.01, 0.01]))  # allowed in general
-        with pytest.raises(ValueError):
-            equal.validate_sequential()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
