@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, montecarlo
 from .estimator import InsufficientMeasurements, MissingKnownVelocity, Mode, SolverConfig
 from .estimator import default_initial, solve
-from .linalg import SingularMatrix
+from .linalg import DimensionMismatch, SingularMatrix
 from .measurement import DegenerateGeometry, InvalidMeasurements, InvalidNoise
 from .measurement import ToaMeasurementSet, generate
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario, UdState
@@ -91,7 +91,7 @@ class ConfigError(ValueError):
 # Errors that report unusable input rather than a fault in the program:
 # main turns them into exit code 1 and lets every other exception through.
 INPUT_ERRORS = (ConfigError, InvalidMeasurements, InvalidNoise, InsufficientMeasurements,
-                MissingKnownVelocity, DegenerateGeometry, SingularMatrix)
+                MissingKnownVelocity, DegenerateGeometry, SingularMatrix, DimensionMismatch)
 
 
 @contextmanager

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import NonFiniteMatrix, SingularMatrix, solve_spd
+from .linalg import DimensionMismatch, NonFiniteMatrix, SingularMatrix, solve_spd
 from .measurement import DegenerateGeometry, ToaMeasurementSet, forward
 from .scenario import AnchorSet, ResponseSchedule
 
@@ -166,7 +166,7 @@ class EstimateReport:
 def _resolve_velocity(theta: ParamVector, config_velocity: np.ndarray | None) -> np.ndarray:
     if theta.mode is Mode.ESTIMATED_VELOCITY:
         return theta.velocity
-    if theta.mode is Mode.STATIONARY or config_velocity is None:
+    if theta.mode is not Mode.KNOWN_VELOCITY or config_velocity is None:
         return np.zeros(theta.n_dim)
     return np.asarray(config_velocity, dtype=float)
 
@@ -259,18 +259,27 @@ def solve(
 
     Singular normal equations, an iterate at an anchor and a non-finite
     iterate abort the iteration and are reported as a non-converged result
-    with a ``failure_reason`` rather than raised.
+    with a ``failure_reason`` rather than raised. Unusable input raises:
+    ``MissingKnownVelocity``, ``DimensionMismatch`` when the anchors,
+    measurements, iterate and velocity do not conform, and
+    ``InsufficientMeasurements``.
     """
     mode = initial.mode
     n = initial.n_dim
     m = anchors.count
+    if mode is Mode.KNOWN_VELOCITY and config.known_velocity_mps is None:
+        raise MissingKnownVelocity("known-velocity mode requires known_velocity_mps")
+    velocity = _resolve_velocity(initial, config.known_velocity_mps)
+    if (measurements.count, anchors.n_dim, np.shape(velocity)) != (m, n, (n,)):
+        raise DimensionMismatch(
+            f"{measurements.count} measurements for {m} anchors in {anchors.n_dim}-D, "
+            f"a {n}-D iterate and a velocity of shape {np.shape(velocity)}"
+        )
     n_meas = m if mode is Mode.ONE_WAY else 2 * m
     if n_meas < mode.param_dim(n):
         raise InsufficientMeasurements(
             f"{mode.value} needs at least {mode.param_dim(n)} measurements, have {n_meas}"
         )
-    if mode is Mode.KNOWN_VELOCITY and config.known_velocity_mps is None:
-        raise MissingKnownVelocity("known-velocity mode requires known_velocity_mps")
 
     threshold = config.convergence_threshold_m
     if threshold is None:

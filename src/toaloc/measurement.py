@@ -154,11 +154,7 @@ def weight_vector(noise: NoiseSpec) -> np.ndarray:
     )
 
 
-def generate(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    noise: NoiseSpec | None = None,
-) -> ToaMeasurementSet:
+def generate(scenario: Scenario, rng: np.random.Generator) -> ToaMeasurementSet:
     """Draw one noisy measurement epoch from ground truth.
 
     Request noises are drawn first, then response noises, so two scenarios
@@ -169,8 +165,7 @@ def generate(
     weight falls back to one (a zero-variance measurement has no finite ML
     weight).
     """
-    if noise is None:
-        noise = scenario.noise
+    noise = scenario.noise
     ud = scenario.ud
     m = scenario.anchors.count
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,9 +90,19 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
-        if self.kind == ITERATION_PROFILE and any(
-            v < 1 or v != int(v) for v in self.sweep_values
-        ):
+        if not all(math.isfinite(v) for v in self.sweep_values):
+            raise ValueError("sweep values must be finite")
+        if not self.modes:
+            raise ValueError("modes must be non-empty")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if not 0.0 <= self.initial_radius_m < math.inf:
+            raise ValueError("initial_radius_m must be finite and non-negative")
+        if not 0.0 < self.sigma_m < math.inf:
+            raise ValueError("sigma_m must be finite and positive")
+        if not self.delay_step_ms or not all(0.0 < v < math.inf for v in self.delay_step_ms):
+            raise ValueError("delay_step_ms must be non-empty, finite and positive")
+        if self.kind == ITERATION_PROFILE and any(v < 1 or v != int(v) for v in self.sweep_values):
             raise ValueError("iteration-profile sweep values must be positive integers")
         if self.kind == NOISE_SWEEP and any(v <= 0 for v in self.sweep_values):
             raise ValueError("noise sweep values must be positive")
@@ -101,18 +112,7 @@ class ExperimentConfig:
             raise ValueError("sweep values must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "sweep_values": list(self.sweep_values),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "modes": [m.value for m in self.modes],
-            "initial_radius_m": self.initial_radius_m,
-            "sigma_m": self.sigma_m,
-            "delay_step_ms": list(self.delay_step_ms),
-            "jobs": self.jobs,
-        }
+        return {"schema": 1, **asdict(self)}  # json writes Mode members as their values
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -146,53 +146,55 @@ class ModeOutcome:
 
 @dataclass
 class TrialRecord:
-    seed: int
-    truth_position: np.ndarray
-    truth_clock_offset_m: float
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
-def _solve_mode(
-    scenario: Scenario, measurements, mode: Mode, initial_position: np.ndarray,
-    threshold: float, known_velocity: np.ndarray | None, max_iterations: int = 10,
-) -> ModeOutcome:
-    """Solve one mode from the initial position and record its errors
-    against the truth, the solver wall time and the mode's CRLB."""
-    solver = SolverConfig(max_iterations, threshold, known_velocity)
-    initial = default_initial(mode, initial_position, measurements)
-    t0 = time.perf_counter()
-    report = solve(measurements, scenario.anchors, solver, initial)
-    elapsed = time.perf_counter() - t0
-    fim_report = analysis.fim(
-        mode, scenario.anchors, scenario.ud, scenario.schedule, scenario.noise
-    )
-    est = report.estimate
-    return ModeOutcome(
-        converged=report.converged,
-        iterations=report.iterations_used,
-        pos_err_m=float(np.linalg.norm(est.position - scenario.ud.position)),
-        clk_err_m=float(abs(est.clock_offset_m - scenario.ud.clock_offset_m)),
-        solve_time_s=elapsed,
-        crlb_pos_sq=fim_report.position_crlb_rss**2,
-        crlb_clk_sq=fim_report.clock_crlb**2,
-        failed=report.failure_reason is not None,
-    )
+def _runs(config: ExperimentConfig, scenario: Scenario, rng: np.random.Generator, sweep_value):
+    """Every solve of one trial of the configured kind, as (label, scenario,
+    measurements, mode, velocity for the solver, assumed velocity for the
+    bias predictor or None). Measurements and the deviated velocity are drawn
+    from rng as the solves are reached, in a fixed order."""
+    ud = scenario.ud
+    if config.kind == STATIONARY_BASELINE:
+        # the stationary baseline and the known-velocity estimator on the
+        # same truth for every response-delay step in the configured grid
+        zeros = np.zeros(scenario.anchors.n_dim)
+        for step_ms in config.delay_step_ms:
+            schedule = ResponseSchedule(step_ms * 1e-3 * np.arange(1, scenario.anchors.count + 1))
+            stepped = replace(scenario, schedule=schedule)
+            measurements = generate(stepped, rng)
+            yield f"stationary@dt{step_ms:g}ms", stepped, measurements, Mode.STATIONARY, None, zeros
+            yield (f"known-velocity@dt{step_ms:g}ms", stepped, measurements, Mode.KNOWN_VELOCITY,
+                   ud.velocity, None)
+        return
+    measurements = generate(scenario, rng)
+    if config.kind == VELOCITY_MISMATCH:
+        # the known-velocity estimator fed a velocity deviated from the truth
+        # in a random direction by the swept norm
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        assumed = ud.velocity + sweep_value * np.array([np.cos(angle), np.sin(angle)])
+        yield (Mode.KNOWN_VELOCITY.value, scenario, measurements, Mode.KNOWN_VELOCITY,
+               assumed, assumed)
+        return
+    for mode in config.modes:
+        known = ud.velocity if mode is Mode.KNOWN_VELOCITY else None
+        yield mode.value, scenario, measurements, mode, known, None
 
 
 def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> TrialRecord:
     """Execute one seeded trial at one sweep point.
 
-    Draws the scenario, synthesizes measurements, runs every configured
-    estimator from the prescribed random initial position, and records
-    errors against the truth at request-transmission time. Solver failures
-    are recorded in the outcome, never raised.
+    Draws the scenario, synthesizes measurements, runs every estimator of the
+    experiment kind from the prescribed random initial position, and records
+    errors against the truth at request-transmission time, the solver wall
+    time, the mode's CRLB and, where the kind has one, the predicted RMSE.
+    Solver failures are recorded in the outcome, never raised.
     """
     sweep_value = config.sweep_values[sweep_index]
     # the iteration profile varies only the solver budget, so every sweep
     # point replays the same trials to make the per-budget RMSEs paired
     seed_sweep = 0 if config.kind == ITERATION_PROFILE else sweep_index
-    seed = derive_seed(config.base_seed, seed_sweep, trial_index)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
 
     sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
     speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
@@ -200,81 +202,40 @@ def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> T
 
     scenario = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed)
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    initial_position = scenario.ud.position + radius * np.array(
-        [np.cos(angle), np.sin(angle)]
-    )
-
-    record = TrialRecord(
-        seed=seed,
-        truth_position=scenario.ud.position,
-        truth_clock_offset_m=scenario.ud.clock_offset_m,
-    )
-
-    if config.kind == STATIONARY_BASELINE:
-        _run_stationary_baseline(config, scenario, rng, initial_position, record)
-        return record
-    if config.kind == VELOCITY_MISMATCH:
-        _run_velocity_mismatch(config, scenario, rng, sweep_value, initial_position, record)
-        return record
-
-    measurements = generate(scenario, rng)
+    initial_position = scenario.ud.position + radius * np.array([np.cos(angle), np.sin(angle)])
     # the iteration profile forces exactly max_iter iterations
     profile = config.kind == ITERATION_PROFILE
     threshold = 1e-300 if profile else sigma / 10.0
     max_iter = int(sweep_value) if profile else 10
 
-    for mode in config.modes:
-        known = scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None
-        outcome = _solve_mode(
-            scenario, measurements, mode, initial_position, threshold, known, max_iter
+    record = TrialRecord()
+    for label, s, meas, mode, velocity, assumed in _runs(config, scenario, rng, sweep_value):
+        solver = SolverConfig(max_iter, threshold, velocity)
+        initial = default_initial(mode, initial_position, meas)
+        t0 = time.perf_counter()
+        report = solve(meas, s.anchors, solver, initial)
+        elapsed = time.perf_counter() - t0
+        fim_report = analysis.fim(mode, s.anchors, s.ud, s.schedule, s.noise)
+        failed = report.failure_reason is not None
+        outcome = ModeOutcome(
+            # a profiled run spends its whole iteration budget by construction;
+            # completing it counts as converged for aggregation purposes
+            converged=report.iterations_used == max_iter if profile and not failed
+            else report.converged,
+            iterations=report.iterations_used,
+            pos_err_m=float(np.linalg.norm(report.estimate.position - s.ud.position)),
+            clk_err_m=float(abs(report.estimate.clock_offset_m - s.ud.clock_offset_m)),
+            solve_time_s=elapsed,
+            crlb_pos_sq=fim_report.position_crlb_rss**2,
+            crlb_clk_sq=fim_report.clock_crlb**2,
+            failed=failed,
         )
-        # a profiled run spends its whole iteration budget by construction;
-        # completing it counts as converged for aggregation purposes
-        if profile and not outcome.failed:
-            outcome.converged = outcome.iterations == max_iter
-        record.outcomes[mode.value] = outcome
+        if assumed is not None:
+            bias = analysis.velocity_mismatch_bias(s.anchors, s.ud, s.schedule, s.noise, assumed)
+            outcome.pred_rmse_pos = bias.predicted_rmse_position
+            outcome.pred_rmse_clk = bias.predicted_rmse_clock
+        record.outcomes[label] = outcome
     return record
-
-
-def _run_stationary_baseline(config, scenario, rng, initial_position, record):
-    """Run the stationary baseline and the known-velocity estimator on the
-    same truth for every response-delay step in the configured grid."""
-    for step_ms in config.delay_step_ms:
-        schedule = ResponseSchedule(step_ms * 1e-3 * np.arange(1, scenario.anchors.count + 1))
-        trial_scenario = replace(scenario, schedule=schedule)
-        measurements = generate(trial_scenario, rng)
-        for mode in (Mode.STATIONARY, Mode.KNOWN_VELOCITY):
-            known = scenario.ud.velocity if mode is Mode.KNOWN_VELOCITY else None
-            outcome = _solve_mode(
-                trial_scenario, measurements, mode, initial_position, config.sigma_m / 10.0, known
-            )
-            if mode is Mode.STATIONARY:
-                s = trial_scenario
-                bias = analysis.stationary_assumption_bias(s.anchors, s.ud, s.schedule, s.noise)
-                outcome.pred_rmse_pos = bias.predicted_rmse_position
-                outcome.pred_rmse_clk = bias.predicted_rmse_clock
-            record.outcomes[f"{mode.value}@dt{step_ms:g}ms"] = outcome
-
-
-def _run_velocity_mismatch(config, scenario, rng, deviation_norm, initial_position, record):
-    """Run the known-velocity estimator with a velocity deviated from truth
-    by a random direction of the swept norm, recording the analytic
-    predictions alongside."""
-    measurements = generate(scenario, rng)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    assumed = scenario.ud.velocity + deviation_norm * np.array(
-        [np.cos(angle), np.sin(angle)]
-    )
-    outcome = _solve_mode(
-        scenario, measurements, Mode.KNOWN_VELOCITY, initial_position, config.sigma_m / 10.0,
-        assumed,
-    )
-    bias = analysis.velocity_mismatch_bias(
-        scenario.anchors, scenario.ud, scenario.schedule, scenario.noise, assumed
-    )
-    outcome.pred_rmse_pos = bias.predicted_rmse_position
-    outcome.pred_rmse_clk = bias.predicted_rmse_clock
-    record.outcomes[Mode.KNOWN_VELOCITY.value] = outcome
 
 
 @dataclass(frozen=True)
@@ -344,27 +305,35 @@ def aggregate(
     )
 
 
-def _trial_batch(args) -> list[TrialRecord]:
-    config, sweep_index, start, stop = args
-    return [run_trial(config, sweep_index, t) for t in range(start, stop)]
+def _trial_batch(args) -> list[list[TrialRecord]]:
+    config, points, start, stop = args
+    return [[run_trial(config, i, t) for i in points] for t in range(start, stop)]
+
+
+def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
+    """Trial records at each sweep point of ``points``, in trial-index order.
+
+    Each trial runs its points back to back, in-process or in pool workers
+    over chunks of trials; the records do not depend on ``jobs``."""
+    chunk = max(1, config.trials // (config.jobs * 8))
+    batches = [
+        (config, points, start, min(start + chunk, config.trials))
+        for start in range(0, config.trials, chunk)
+    ]
+    if config.jobs == 1:
+        results = map(_trial_batch, batches)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
+
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(_trial_batch, batches))
+    rows = [row for batch in results for row in batch]
+    return [list(column) for column in zip(*rows)]
 
 
 def run_sweep_point(config: ExperimentConfig, sweep_index: int) -> list[TrialRecord]:
     """All trial records for one sweep point, in trial-index order."""
-    if config.jobs <= 1:
-        return [run_trial(config, sweep_index, t) for t in range(config.trials)]
-    from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
-
-    chunk = max(1, config.trials // (config.jobs * 8))
-    batches = [
-        (config, sweep_index, start, min(start + chunk, config.trials))
-        for start in range(0, config.trials, chunk)
-    ]
-    records: list[TrialRecord] = []
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        for batch in pool.map(_trial_batch, batches):
-            records.extend(batch)
-    return records
+    return _run_points(config, (sweep_index,))[0]
 
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
@@ -373,14 +342,12 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
     # so the 6*sqrt(CRLB) wrong-solution filter does not apply to them
     correctness_filter = config.kind not in (STATIONARY_BASELINE, VELOCITY_MISMATCH)
     points = range(len(config.sweep_values))
-    if config.kind == ITERATION_PROFILE and config.jobs <= 1:
-        # every budget replays the same trials: running the budgets of one
-        # trial back to back pairs their solve timings too, so that drift in
-        # machine speed cannot bend the per-iteration cost curve
-        rows = [[run_trial(config, i, t) for i in points] for t in range(config.trials)]
-        per_point = [list(column) for column in zip(*rows)]
-    else:
-        per_point = (run_sweep_point(config, i) for i in points)
+    # every budget replays the same trials: running the budgets of one trial
+    # back to back pairs their solve timings too, so that drift in machine
+    # speed cannot bend the per-iteration cost curve. Other kinds run one
+    # point at a time, so that only one point's records are held at once.
+    groups = [points] if config.kind == ITERATION_PROFILE else [(i,) for i in points]
+    per_point = (records for group in groups for records in _run_points(config, group))
     summaries: list[SweepPointSummary] = []
     for sweep_value, records in zip(config.sweep_values, per_point):
         for label in sorted(records[0].outcomes.keys()):

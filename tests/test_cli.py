@@ -114,6 +114,27 @@ class TestSolve:
         assert main(["solve", str(path)]) == EXIT_CONFIG
         assert "measurements, delays and weights must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: doc["initial"].update(velocity_mps=[1.0, 2.0, 3.0]),
+            lambda doc: doc["initial"].update(position_m=[100.0, -20.0, 5.0]),
+            lambda doc: doc.update(
+                mode="known-velocity", solver={"known_velocity_mps": [1.0, 2.0, 3.0]}
+            ),
+            lambda doc: doc.update(anchors=doc["anchors"][:3]),
+        ],
+        ids=["initial-velocity", "initial-position", "known-velocity", "three-anchors"],
+    )
+    def test_dimension_mismatch_is_config_error(self, tmp_path, capsys, malform):
+        doc = json.loads(Path(FIXTURE).read_text())
+        malform(doc)
+        config = tmp_path / "mismatch.json"
+        config.write_text(json.dumps(doc))
+        assert main(["solve", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_internal_value_error_propagates(self, monkeypatch):
         # a ValueError from inside the program is a fault, not a config error
         def broken(*args, **kwargs):
@@ -212,6 +233,30 @@ class TestExperiment:
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12  # 6 speeds x 2 modes
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"delay_step_ms": [-5]},
+            {"sigma_m": 0},
+            {"sigma_m": -1},
+            {"sweep_values": [float("nan")]},
+            {"modes": []},
+            {"jobs": -3},
+            {"initial_radius_m": float("nan")},
+        ],
+        ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_unusable_config_is_config_error(self, tmp_path, capsys, change):
+        doc = {"kind": "stationary-baseline", "sweep_values": [10.0], "trials": 1, **change}
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(doc))
+        out_csv = tmp_path / "never.csv"
+        code = main(["experiment", "--config", str(config), "--output", str(out_csv)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config") and err.count("\n") == 1
+        assert not out_csv.exists()
 
     def test_unknown_preset(self, capsys):
         assert main(["experiment", "--preset", "nope"]) == EXIT_CONFIG

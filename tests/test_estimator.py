@@ -16,6 +16,7 @@ from toaloc.estimator import (
     model_h,
     solve,
 )
+from toaloc.linalg import DimensionMismatch
 from toaloc.measurement import forward, generate
 from toaloc.scenario import (
     AnchorSet,
@@ -316,6 +317,26 @@ class TestSolve:
         initial = default_initial(Mode.ESTIMATED_VELOCITY, ud.position + 5.0, meas)
         with pytest.raises(InsufficientMeasurements):
             solve(meas, anchors, SolverConfig(), initial)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(119)
+        sc = benchmark_scenario(rng)
+        meas = generate(sc, rng)
+        est = default_initial(Mode.ESTIMATED_VELOCITY, sc.ud.position + 5.0, meas)
+        est.velocity = np.zeros(3)
+        three_anchors = AnchorSet(sc.anchors.positions[:3])
+        cases = [
+            (meas, sc.anchors, SolverConfig(), est),
+            (meas, sc.anchors, SolverConfig(),
+             default_initial(Mode.ESTIMATED_VELOCITY, np.append(sc.ud.position, 0.0), meas)),
+            (meas, sc.anchors, SolverConfig(known_velocity_mps=np.zeros(3)),
+             default_initial(Mode.KNOWN_VELOCITY, sc.ud.position, meas)),
+            (meas, three_anchors, SolverConfig(),
+             default_initial(Mode.ESTIMATED_VELOCITY, sc.ud.position, meas)),
+        ]
+        for case in cases:
+            with pytest.raises(DimensionMismatch):
+                solve(*case)
 
     def test_known_velocity_requires_velocity(self):
         rng = np.random.default_rng(112)

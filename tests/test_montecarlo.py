@@ -1,6 +1,7 @@
 import csv
+import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -40,15 +41,18 @@ class TestDeriveSeed:
             assert 0 <= s < 2**64
 
 
+def untimed(record):
+    """A record's outcomes without the solver wall time, as comparable text."""
+    return repr({k: {**asdict(o), "solve_time_s": None} for k, o in record.outcomes.items()})
+
+
 class TestRunTrial:
     def test_deterministic_across_calls(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1, 1.0), trials=4)
         a = run_trial(config, 1, 7)
         b = run_trial(config, 1, 7)
-        assert a.seed == b.seed
-        assert np.array_equal(a.truth_position, b.truth_position)
-        for label in a.outcomes:
-            assert a.outcomes[label].pos_err_m == b.outcomes[label].pos_err_m
+        assert set(a.outcomes) == {"known-velocity", "estimated-velocity"}
+        assert untimed(a) == untimed(b)
 
     def test_vanishing_noise_recovers_truth(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(1e-9,), trials=1)
@@ -109,6 +113,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="noise-sweep", sweep_values=(0.0,))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"sweep_values": [float("nan")]},
+            {"sweep_values": [float("inf")]},
+            {"modes": []},
+            {"jobs": 0},
+            {"jobs": -3},
+            {"initial_radius_m": float("nan")},
+            {"initial_radius_m": -1.0},
+            {"sigma_m": 0.0},
+            {"sigma_m": -1.0},
+            {"sigma_m": float("nan")},
+            {"delay_step_ms": []},
+            {"delay_step_ms": [-5.0]},
+            {"delay_step_ms": [0.0]},
+            {"delay_step_ms": [float("inf")]},
+        ],
+        ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_unusable_values_rejected(self, change):
+        doc = {"kind": "stationary-baseline", "sweep_values": [10.0], **change}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(doc)
+
+    def test_non_finite_iteration_budget_rejected(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(kind="iteration-profile", sweep_values=(value,))
+
     def test_dict_round_trip(self):
         config = ExperimentConfig(
             kind="speed-sweep",
@@ -139,11 +173,7 @@ def make_outcome(pos_err, clk_err=0.5, converged=True, crlb=1.0):
 
 
 def make_records(outcomes, label="m"):
-    return [
-        TrialRecord(seed=i, truth_position=np.zeros(2), truth_clock_offset_m=0.0,
-                    outcomes={label: o})
-        for i, o in enumerate(outcomes)
-    ]
+    return [TrialRecord(outcomes={label: o}) for o in outcomes]
 
 
 class TestAggregate:
@@ -180,24 +210,29 @@ class TestRunExperiment:
         parallel = run_sweep_point(
             ExperimentConfig(kind="noise-sweep", sweep_values=(0.5,), trials=24, jobs=2), 0
         )
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.seed == b.seed
-            for label in a.outcomes:
-                assert a.outcomes[label].pos_err_m == b.outcomes[label].pos_err_m
-                assert a.outcomes[label].clk_err_m == b.outcomes[label].clk_err_m
+        assert len(serial) == len(parallel) == 24
+        assert [untimed(r) for r in serial] == [untimed(r) for r in parallel]
+        # distinct trials draw distinct scenarios
+        assert len({r.outcomes["known-velocity"].pos_err_m for r in serial}) == 24
 
     def test_interleaved_iteration_profile_matches_per_point_runs(self):
-        # jobs=1 runs the budgets of each trial back to back, jobs=2 runs
-        # each budget's trials in workers; everything but timing must agree
+        # run_experiment runs the budgets of each trial back to back, in
+        # process with jobs=1 and in workers with jobs=2; running one budget
+        # at a time must agree with both in everything but timing
         config = ExperimentConfig(
             kind="iteration-profile", sweep_values=(1.0, 2.0, 4.0), trials=6
         )
-        rows = [
-            [repr({**s.to_row(), "mean_solve_us": None}) for s in run_experiment(c)]
-            for c in (config, replace(config, jobs=2))
+        per_point = [
+            aggregate(run_sweep_point(config, i), label, value)
+            for i, value in enumerate(config.sweep_values)
+            for label in ("estimated-velocity", "known-velocity")
         ]
-        assert rows[0] == rows[1]  # repr, so that NaN RMSEs compare equal
+        interleaved = [run_experiment(c) for c in (config, replace(config, jobs=2))]
+        rows = [
+            [repr({**s.to_row(), "mean_solve_us": None}) for s in summaries]
+            for summaries in (per_point, *interleaved)
+        ]
+        assert rows[0] == rows[1] == rows[2]  # repr, so that NaN RMSEs compare equal
 
     def test_summary_rows_per_sweep_point(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1, 1.0), trials=5)
@@ -222,3 +257,49 @@ class TestRunExperiment:
         assert manifest["config"]["kind"] == "noise-sweep"
         assert manifest["config"]["base_seed"] == 20260823
         assert "filter_divergences" in manifest
+
+
+# SHA-256 of the repr of every summary row but mean_solve_us, from
+# run_experiment with 3 trials at 2 sweep values and the default config
+# otherwise. Recorded before the experiment kinds shared one trial loop.
+GOLDEN_ROWS = {
+    "noise-sweep": (
+        (0.1, 1.0), "b9c8c78adabce53472d40540a466c26f10701ab34d08d1ed98c3c30eb6006ffc"
+    ),
+    "speed-sweep": (
+        (0.0, 50.0), "1e150f8f0dec48125bd313e3be878f2da365dc79b4f0a2d2320d2a5a3de86fd3"
+    ),
+    "stationary-baseline": (
+        (0.0, 50.0), "dc71544f48e90ff0f8f15f1b7bbc8a8b33b5ebe0b991e936101247163234d5ff"
+    ),
+    "velocity-mismatch": (
+        (2.0, 8.0), "54ab7235c9ec35b9ff4260062509bca24121dfeea98560f778a2a80b4fcb6728"
+    ),
+    "success-rate": (
+        (10.0, 200.0), "1f7c59b1dec227ae70a0d2c381fef27dc56835c13cbf930a3683325d7b8ac1c2"
+    ),
+    "iteration-profile": (
+        (1.0, 3.0), "bde752a1c0926f7ac76473d8b648cc47c6726b0700c8f553b915b7fde9bc00f0"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_ROWS))
+def test_golden_rows(kind):
+    values, digest = GOLDEN_ROWS[kind]
+    summaries = run_experiment(ExperimentConfig(kind, values, trials=3))
+    rows = [repr({**s.to_row(), "mean_solve_us": None}) for s in summaries]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_manifest_config_golden():
+    config = ExperimentConfig(
+        "stationary-baseline", (0.0, 25.0), trials=12, base_seed=99,
+        modes=(Mode.ESTIMATED_VELOCITY, Mode.ONE_WAY), initial_radius_m=20.0,
+        sigma_m=0.5, delay_step_ms=(5.0, 20.0), jobs=2,
+    )
+    assert json.dumps(config.to_dict()) == (
+        '{"schema": 1, "kind": "stationary-baseline", "sweep_values": [0.0, 25.0], '
+        '"trials": 12, "base_seed": 99, "modes": ["estimated-velocity", "one-way"], '
+        '"initial_radius_m": 20.0, "sigma_m": 0.5, "delay_step_ms": [5.0, 20.0], "jobs": 2}'
+    )
