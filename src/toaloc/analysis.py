@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Mode
-from .linalg import invert_spd, is_positive_semidefinite
+from .linalg import invert_spd, is_positive_semidefinite, solve_spd_rows
 from .measurement import forward, weight_vector
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState
 
@@ -99,6 +99,37 @@ def fim(
         position_crlb_rss=float(np.sqrt(crlb[:n].sum())),
         clock_crlb=float(np.sqrt(crlb[n])),
     )
+
+
+def position_clock_crlb(
+    mode: Mode,
+    anchors_m: np.ndarray,
+    delays: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """fim()'s position_crlb_rss and clock_crlb for a batch of T truths, bit
+    for bit, from one stack of F = G'WG.
+
+    anchors_m (T, M, N), delays (T, M), positions and true velocities
+    (T, N) and the weighting diagonals (T, 2M) are per row. Only the first
+    N+1 columns of each inverse are solved for: they hold the diagonal
+    entries read, with the bits the full identity gives. Raises as fim does
+    when a row's F is singular or not finite.
+    """
+    if mode is Mode.STATIONARY:
+        velocities = np.zeros_like(velocities)
+    _, g = forward(anchors_m, delays, positions, velocities, 0.0, 0.0, jacobian=True, **mode.layout)
+    f = np.swapaxes(g, 1, 2) @ (g * weights[:, : g.shape[1], None])
+    n = positions.shape[-1]
+    columns = np.repeat(np.eye(f.shape[-1])[None, :, : n + 1], len(f), axis=0)
+    cov, errors = solve_spd_rows(f, columns)
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
+    crlb = cov.diagonal(0, 1, 2)  # invert_spd's symmetrization leaves the diagonal as solved
+    return np.sqrt(np.add.reduce(crlb[:, :n], axis=-1)), np.sqrt(crlb[:, n])
 
 
 def check_known_velocity_advantage(

@@ -23,7 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DimensionMismatch, NonFiniteMatrix, SingularMatrix, solve_spd
+# the solver calls solve_spd_rows; solve_spd stays importable here because
+# perfbench/spans.py wraps it at estimator.solve_spd
+from .linalg import (  # noqa: F401
+    DimensionMismatch, NonFiniteMatrix, SingularMatrix, solve_spd, solve_spd_rows,
+)
 from .measurement import DegenerateGeometry, ToaMeasurementSet, forward
 from .scenario import AnchorSet, ResponseSchedule
 
@@ -95,12 +99,15 @@ class ParamVector:
         return self.position.size
 
     def to_array(self) -> np.ndarray:
-        parts = [self.position, [self.clock_offset_m]]
+        n = self.position.size
+        theta = np.empty(self.mode.param_dim(n))
+        theta[:n] = self.position
+        theta[n] = self.clock_offset_m
         if self.mode is not Mode.ONE_WAY:
-            parts.append([self.clock_drift_mps])
+            theta[n + 1] = self.clock_drift_mps
         if self.mode is Mode.ESTIMATED_VELOCITY:
-            parts.append(self.velocity)
-        return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
+            theta[n + 2 :] = self.velocity
+        return theta
 
     @classmethod
     def from_array(cls, mode: Mode, theta: np.ndarray, n_dim: int) -> "ParamVector":
@@ -202,6 +209,114 @@ def design_matrix(
     return _forward(theta, anchors, schedule, known_velocity, jacobian=True)[1]
 
 
+@dataclass(slots=True)
+class BatchEstimate:
+    """solve_batch's outcome, one row per epoch: the final iterates, and per
+    row the iterations, convergence flag, (position step, weighted residual)
+    norms of each iteration, and the exception that stopped a failed row."""
+
+    theta: np.ndarray  # (T, P)
+    iterations: list[int]
+    converged: list[bool]
+    traces: list[list[tuple[float, float]]]
+    failures: list
+
+    @classmethod
+    def empty(cls, t: int, p: int) -> "BatchEstimate":
+        return cls(np.empty((t, p)), [0] * t, [False] * t, [[] for _ in range(t)], [None] * t)
+
+    def failure_reason(self, row: int) -> str | None:
+        exc = self.failures[row]
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+
+class _Rows:
+    """The epochs of a batch still iterating, their row numbers in the batch,
+    and the Jacobians they reuse across iterations."""
+
+    ARRAYS = ("anchors", "delays", "observed", "weights", "theta", "velocity", "index", "g")
+    __slots__ = ARRAYS + ("shift", "done")
+
+    def __init__(self, mode: Mode, *arrays):
+        """arrays: solve_batch's anchors, delays, observed, weights, initial and velocity."""
+        for name, value in zip(self.ARRAYS, arrays + (np.arange(len(arrays[4])), None)):
+            setattr(self, name, value)
+        self.shift = None  # forward's v*dt, when it is fixed over the iterations
+        if mode in (Mode.KNOWN_VELOCITY, Mode.STATIONARY):
+            self.shift = self.velocity[:, None, :] * self.delays[:, :, None]
+        self.done = 0  # iterations every row still here has completed
+
+    def retire(self, mask, out: BatchEstimate, error=None, converged: bool = False) -> None:
+        """Write out the masked rows, with ``error`` (one exception, or one
+        per masked row), and drop them from the batch."""
+        everything = all(mask)
+        index = self.index if everything else self.index[mask]
+        out.theta[index] = self.theta if everything else self.theta[mask]
+        errors = error if isinstance(error, list) else [error] * index.size
+        for row, exc in zip(index.tolist(), errors):
+            out.iterations[row] = self.done
+            out.converged[row] = converged
+            out.failures[row] = exc
+        if everything:
+            self.index = self.index[:0]
+            return
+        keep = np.logical_not(mask)
+        for name in self.ARRAYS + ("shift",):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[keep])
+
+
+def _step(mode: Mode, n: int, rows: _Rows, out: BatchEstimate):
+    """One update delta = (G'WG)^-1 G'W r for every row, and its weighted
+    residual norm. A row that cannot take the step is retired with the
+    exception the step raises for it alone, in the same order of checks."""
+    response, velocity_columns = mode.uses_response, mode is Mode.ESTIMATED_VELOCITY
+    while rows.index.size:
+        theta = rows.theta
+        try:
+            h, rows.g = forward(
+                rows.anchors, rows.delays, theta[:, :n],
+                theta[:, n + 2 :] if velocity_columns else rows.velocity, theta[:, n : n + 1],
+                theta[:, n + 1 : n + 2] if response else None, response, True, velocity_columns,
+                rows.shift, rows.g,
+            )
+        except DegenerateGeometry as exc:
+            rows.retire(exc.rows, out, exc)
+            continue
+        r = rows.observed - h
+        # r @ (w * r) and G'W r as matmuls: per row the BLAS calls of one epoch
+        wrr = r[:, None, :] @ (rows.weights * r)[:, :, None]
+        res_norm = [math.sqrt(x) for x in wrr.ravel().tolist()]
+        if not all(map(math.isfinite, res_norm)):
+            bad = [not math.isfinite(x) for x in res_norm]
+            rows.retire(bad, out, NonFiniteIterate("weighted residual is not finite"))
+            continue
+        gwt = (rows.g * rows.weights[:, :, None]).swapaxes(1, 2)
+        delta, errors = solve_spd_rows(gwt @ rows.g, (gwt @ r[:, :, None])[:, :, 0])
+        if any(errors):
+            failed = [exc is not None for exc in errors]
+            rows.retire(failed, out, [
+                NonFiniteIterate(f"normal equations: {exc}") if isinstance(exc, NonFiniteMatrix)
+                else SingularNormalEquations(str(exc)) for exc in errors if exc
+            ])
+            if not rows.index.size:
+                break
+            delta = delta[np.logical_not(failed)]
+            res_norm = [x for x, exc in zip(res_norm, errors) if exc is None]
+        return delta, res_norm
+    return None, None
+
+
+def _one_epoch(theta: ParamVector, measurements: ToaMeasurementSet, anchors: AnchorSet, velocity):
+    """solve_batch's arguments for one epoch, but the threshold and budget."""
+    rows = anchors.count if theta.mode is Mode.ONE_WAY else 2 * anchors.count
+    return (
+        theta.mode, anchors.positions[None], measurements.schedule.delays[None],
+        measurements.stacked[None, :rows], measurements.weights[None, :rows],
+        theta.to_array()[None], velocity[None],
+    )
+
+
 def gauss_newton_step(
     theta: ParamVector,
     measurements: ToaMeasurementSet,
@@ -211,22 +326,15 @@ def gauss_newton_step(
     """One WLS update: delta = (G'WG)^-1 G'W r, plus the weighted residual norm.
 
     The mode fits the leading rows of the stacked measurements: all 2M, or
-    the M request rows for one-way data."""
-    h, g = _forward(theta, anchors, measurements.schedule, config.known_velocity_mps, jacobian=True)
-    rows = h.size
-    r = measurements.stacked[:rows] - h
-    weights = measurements.weights[:rows]
-    res_norm = math.sqrt(r @ (weights * r))
-    if not math.isfinite(res_norm):
-        raise NonFiniteIterate("weighted residual is not finite")
-    gw = g * weights[:, None]
-    try:
-        delta = solve_spd(gw.T @ g, gw.T @ r)
-    except SingularMatrix as exc:
-        raise SingularNormalEquations(str(exc)) from None
-    except NonFiniteMatrix as exc:
-        raise NonFiniteIterate(f"normal equations: {exc}") from None
-    return delta, res_norm
+    the M request rows for one-way data. This is the step solve_batch takes,
+    on one epoch."""
+    velocity = _resolve_velocity(theta, config.known_velocity_mps)
+    rows = _Rows(*_one_epoch(theta, measurements, anchors, velocity))
+    out = BatchEstimate.empty(*rows.theta.shape)
+    delta, res_norm = _step(theta.mode, theta.n_dim, rows, out)
+    if out.failures[0] is not None:
+        raise out.failures[0]
+    return delta[0], res_norm[0]
 
 
 def default_initial(
@@ -248,6 +356,49 @@ def default_initial(
     )
 
 
+def solve_batch(
+    mode: Mode,
+    anchors: np.ndarray,
+    delays: np.ndarray,
+    observed: np.ndarray,
+    weights: np.ndarray,
+    initial: np.ndarray,
+    velocity: np.ndarray,
+    threshold: float,
+    max_iterations: int,
+) -> BatchEstimate:
+    """Gauss-Newton on T epochs of one mode, one row each: every row ends with
+    the bits, iteration count, trace and failure that solve gives its epoch.
+
+    anchors (T, M, N), delays (T, M), observed and weights (T, R) for the R
+    rows the mode fits, initial (T, P), and velocity (T, N) the velocity the
+    model assumes (zeros but for the known-velocity mode; estimated-velocity
+    reads the iterate's). The inputs are trusted: solve checks its own.
+    """
+    n = anchors.shape[-1]
+    rows = _Rows(mode, anchors, delays, observed, weights, initial, velocity)
+    out = BatchEstimate.empty(*initial.shape)
+    if not math.isfinite(np.add.reduce(initial, axis=None)):
+        finite = np.isfinite(initial).all(axis=1)
+        rows.retire(np.logical_not(finite), out, NonFiniteIterate("initial iterate is not finite"))
+    for _ in range(max_iterations):
+        delta, res_norm = _step(mode, n, rows, out)
+        if delta is None:
+            break
+        rows.theta = rows.theta + delta
+        rows.done += 1
+        # the position step norm by np.linalg.norm's ddot
+        step = [math.sqrt(x) for x in (delta[:, None, :n] @ delta[:, :n, None]).ravel().tolist()]
+        for row, step_norm, res in zip(rows.index.tolist(), step, res_norm):
+            out.traces[row].append((step_norm, res))
+        done = [x < threshold for x in step]
+        if any(done):
+            rows.retire(done, out, converged=True)
+    if rows.index.size:
+        rows.retire([True] * rows.index.size, out)  # the budget is spent
+    return out
+
+
 def solve(
     measurements: ToaMeasurementSet,
     anchors: AnchorSet,
@@ -262,7 +413,7 @@ def solve(
     with a ``failure_reason`` rather than raised. Unusable input raises:
     ``MissingKnownVelocity``, ``DimensionMismatch`` when the anchors,
     measurements, iterate and velocity do not conform, and
-    ``InsufficientMeasurements``.
+    ``InsufficientMeasurements``. This is solve_batch on one epoch.
     """
     mode = initial.mode
     n = initial.n_dim
@@ -286,35 +437,14 @@ def solve(
         # sigma/10 with sigma the smallest measurement sigma; weights are 1/sigma^2.
         threshold = 1.0 / math.sqrt(measurements.weights.max()) / 10.0
 
-    theta = initial.to_array()
-    if not np.isfinite(theta).all():
-        return EstimateReport(
-            initial, 0, False, failure_reason="NonFiniteIterate: initial iterate is not finite"
-        )
-    trace: list[tuple[float, float]] = []
-    converged = False
-    iterations = 0
-    failure = None
-    current = initial
-    for _ in range(config.max_iterations):
-        try:
-            delta, res_norm = gauss_newton_step(current, measurements, anchors, config)
-        except (SingularNormalEquations, DegenerateGeometry, NonFiniteIterate) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            break
-        theta = theta + delta
-        current = ParamVector.from_array(mode, theta, n)
-        iterations += 1
-        step_pos = math.sqrt(delta[:n].dot(delta[:n]))  # np.linalg.norm's formula
-        trace.append((step_pos, res_norm))
-        if step_pos < threshold:
-            converged = True
-            break
-
+    out = solve_batch(
+        *_one_epoch(initial, measurements, anchors, velocity), threshold, config.max_iterations
+    )
+    iterations = out.iterations[0]
     return EstimateReport(
-        estimate=current,
+        estimate=ParamVector.from_array(mode, out.theta[0], n) if iterations else initial,
         iterations_used=iterations,
-        converged=converged,
-        trace=trace,
-        failure_reason=failure,
+        converged=out.converged[0],
+        trace=out.traces[0],
+        failure_reason=out.failure_reason(0),
     )

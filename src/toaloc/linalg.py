@@ -3,15 +3,17 @@
 Everything here operates on plain float64 numpy arrays. The systems are
 tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
 a few dozen rows), so a call costs more in library dispatch than in
-arithmetic. ``solve_spd`` therefore calls LAPACK's ``dtrtrs`` directly on
-``low.T``: numpy's Cholesky factor is C-ordered, so its transpose is the
-Fortran-ordered upper factor LAPACK reads without a copy, and these are the
-exact calls ``scipy.linalg.solve_triangular`` makes, so results match it bit
-for bit. ``dpotrs``, ``np.linalg.solve`` and scipy's ``dpotrf`` round
-differently and would change the solver's outputs.
+arithmetic. ``solve_spd`` and ``solve_spd_rows`` therefore call LAPACK's
+``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor is C-ordered, so
+its transpose is the Fortran-ordered upper factor LAPACK reads without a
+copy, and these are the exact calls ``scipy.linalg.solve_triangular`` makes,
+so results match it bit for bit. ``dpotrs``, ``np.linalg.solve`` and
+scipy's ``dpotrf`` round differently and would change the solver's outputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -74,6 +76,49 @@ def solve_spd(a, b) -> np.ndarray:
     if info != 0:
         raise SingularMatrix(f"triangular solve failed (LAPACK info {info})")
     return x
+
+
+def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
+    """Solve a[i] @ x[i] = b[i] for each matrix of a (T, P, P) stack.
+
+    A row that cannot be solved gets, in place of x[i], the exception
+    solve_spd raises for it in the returned list (None for a solved row).
+    One batched Cholesky call factors the stack, and again one matrix at a
+    time only when it fails; the triangular solves run per row, as no numpy
+    substitution rounds like dtrtrs.
+    """
+    errors: list = [None] * len(a)
+    if not math.isfinite(np.add.reduce(a, axis=None)):  # or a sum past the float range
+        finite = np.isfinite(a).all(axis=(1, 2))
+        errors = [None if ok else NonFiniteMatrix("a contains non-finite entries") for ok in finite]
+        a = np.where(finite[:, None, None], a, np.eye(a.shape[1]))
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        low = np.zeros_like(a)
+        for i, matrix in enumerate(a):
+            try:
+                low[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = errors[i] or SingularMatrix(str(exc))
+    # numpy may succeed on barely positive matrices; enforce the pivot floor
+    # in float arithmetic (a float64 square by pow() is not always x*x). A
+    # factor has a positive diagonal, and no matrix is below the floor when
+    # the stack's smallest pivot clears its largest diagonal entry.
+    pivots, diagonals = low.diagonal(0, 1, 2), a.diagonal(0, 1, 2)
+    smallest = float(np.minimum.reduce(pivots, axis=None))
+    if not smallest**2 > SINGULARITY_RTOL * float(np.maximum.reduce(diagonals, axis=None)):
+        for i, (pivot, top) in enumerate(zip(pivots.min(1).tolist(), diagonals.max(1).tolist())):
+            if pivot**2 <= SINGULARITY_RTOL * top:
+                errors[i] = errors[i] or SingularMatrix("pivot below singularity tolerance")
+    x = np.empty(b.shape)
+    for i, exc in enumerate(errors):
+        if exc is None:
+            y, _ = dtrtrs(low[i].T, b[i], lower=0, trans=1)
+            x[i], info = dtrtrs(low[i].T, y, lower=0, trans=0)
+            if info != 0:
+                errors[i] = SingularMatrix(f"triangular solve failed (LAPACK info {info})")
+    return x, errors
 
 
 def invert_spd(a) -> np.ndarray:

@@ -29,7 +29,12 @@ MIN_RANGE_M = 1e-9
 
 
 class DegenerateGeometry(ValueError):
-    """Device coincides (numerically) with an anchor."""
+    """Device coincides (numerically) with an anchor; ``rows`` marks the batch
+    rows that do."""
+
+    def __init__(self, message: str, rows=True):
+        super().__init__(message)
+        self.rows = rows
 
 
 class InvalidNoise(ValueError):
@@ -108,39 +113,60 @@ class ToaMeasurementSet:
 
 def forward(
     anchors_m: np.ndarray, delays: np.ndarray | None, position: np.ndarray,
-    velocity: np.ndarray | None, clock_offset_m: float, clock_drift_mps: float | None,
+    velocity: np.ndarray | None, clock_offset_m, clock_drift_mps,
     response: bool = True, jacobian: bool = False, velocity_columns: bool = False,
+    shift: np.ndarray | None = None, g: np.ndarray | None = None,
 ):
     """Noise-free stacked model h and, with ``jacobian``, its Jacobian G.
 
     h holds the M request rows, then with ``response`` the M response rows.
     G is C-ordered with columns [p, c*b], then [c*omega] with ``response``
     and [v] with ``velocity_columns``. Returns h, or (h, G) with ``jacobian``.
+
+    Every argument may carry leading batch axes, one row per epoch, which the
+    clock offset and drift carry as a trailing axis of length one; each row
+    is evaluated by the same operations as a lone epoch. A caller iterating
+    on fixed epochs may pass the response rows' displacement ``shift`` (v*dt)
+    when v is known, and pass back a ``g`` this function returned: its
+    constant columns (-1, +1, dt) are then left as they are. Raises
+    DegenerateGeometry, whose ``rows`` marks the rows at an anchor.
     """
-    m, n = anchors_m.shape
+    m, n = anchors_m.shape[-2:]
+    lead = position.shape[:-1]
     rows = 2 * m if response else m
     # rows p - p_i and p + v*dt_i - p_i: line-of-sight vectors, negated as in G
-    u = np.empty((rows, n))
-    np.subtract(position, anchors_m, out=u[:m])
+    u = np.empty(lead + (rows, n))
+    np.subtract(position[..., None, :], anchors_m, out=u[..., :m, :])
     if response:
-        np.add(u[:m], velocity * delays[:, None], out=u[m:])
+        if shift is None:
+            shift = velocity[..., None, :] * delays[..., :, None]
+        np.add(u[..., :m, :], shift, out=u[..., m:, :])
     # ranges by the formula np.linalg.norm(axis=-1) evaluates, without its dispatch
     h = np.sqrt(np.add.reduce(u * u, axis=-1))
-    if h.min() < MIN_RANGE_M:
-        raise DegenerateGeometry("position coincides with an anchor")
+    if not h.min() >= MIN_RANGE_M:  # also when a row is not finite
+        near = h.min(axis=-1) < MIN_RANGE_M
+        if near.any():
+            raise DegenerateGeometry("position coincides with an anchor", near)
     if jacobian:
-        g = np.zeros((rows, 2 * n + 2 if velocity_columns else n + 2 if response else n + 1))
-        np.divide(u, h[:, None], out=g[:, :n])
-        g[:m, n] = -1.0
+        if g is None:
+            columns = 2 * n + 2 if velocity_columns else n + 2 if response else n + 1
+            g = np.zeros(lead + (rows, columns))
+            g[..., :m, n] = -1.0
+            if response:
+                g[..., m:, n] = 1.0
+                g[..., m:, n + 1] = delays
+        np.divide(u, h[..., None], out=g[..., :n])
+        if velocity_columns:
+            np.multiply(g[..., m:, :n], delays[..., :, None], out=g[..., m:, n + 2 :])
+        # the clock-offset column is -1 on request rows and +1 on response
+        # rows: adding its multiple is exactly the subtraction and addition below
+        h += g[..., n] * clock_offset_m
+    else:
+        h[..., :m] -= clock_offset_m
         if response:
-            g[m:, n] = 1.0
-            g[m:, n + 1] = delays
-            if velocity_columns:
-                np.multiply(g[m:, :n], delays[:, None], out=g[m:, n + 2 :])
-    h[:m] -= clock_offset_m
+            h[..., m:] += clock_offset_m
     if response:
-        h[m:] += clock_offset_m
-        h[m:] += clock_drift_mps * delays
+        h[..., m:] += clock_drift_mps * delays
     return (h, g) if jacobian else h
 
 

@@ -13,17 +13,25 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import analysis
-from .estimator import Mode, SolverConfig, default_initial, solve
+# the block runner calls solve_batch; default_initial and solve stay
+# importable here because perfbench/spans.py wraps them at these names
+from .estimator import Mode, default_initial, solve, solve_batch  # noqa: F401
 from .measurement import generate
 from .scenario import ResponseSchedule, Scenario, benchmark_scenario
 
 _MASK64 = (1 << 64) - 1
+
+# Trials per in-process block: each outcome label of a block is one batched
+# solve and one batched CRLB. Larger blocks gain little speed, and time the
+# points of the iteration profile further apart.
+BLOCK = 128
 
 NOISE_SWEEP = "noise-sweep"
 SPEED_SWEEP = "speed-sweep"
@@ -69,6 +77,13 @@ def derive_seed(base_seed: int, sweep_index: int, trial_index: int) -> int:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
+
+
+def _whole(value, name: str) -> int:
+    """A count from a config document: an integer, or a float without a fraction."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,13 +135,13 @@ class ExperimentConfig:
         return cls(
             kind=doc["kind"],
             sweep_values=tuple(float(v) for v in doc["sweep_values"]),
-            trials=int(d["trials"]),
-            base_seed=int(d["base_seed"]),
+            trials=_whole(d["trials"], "trials"),
+            base_seed=_whole(d["base_seed"], "base_seed"),
             modes=tuple(Mode(m) for m in d["modes"]),
             initial_radius_m=float(d["initial_radius_m"]),
             sigma_m=float(d["sigma_m"]),
             delay_step_ms=tuple(float(v) for v in d["delay_step_ms"]),
-            jobs=int(d["jobs"]),
+            jobs=_whole(d["jobs"], "jobs"),
         )
 
 
@@ -181,61 +196,125 @@ def _runs(config: ExperimentConfig, scenario: Scenario, rng: np.random.Generator
         yield mode.value, scenario, measurements, mode, known, None
 
 
-def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> TrialRecord:
-    """Execute one seeded trial at one sweep point.
+class _LabelBlock:
+    """One outcome label's solves over a block of trials, one row per trial,
+    filled as the trials are drawn."""
 
-    Draws the scenario, synthesizes measurements, runs every estimator of the
-    experiment kind from the prescribed random initial position, and records
-    errors against the truth at request-transmission time, the solver wall
-    time, the mode's CRLB and, where the kind has one, the predicted RMSE.
-    Solver failures are recorded in the outcome, never raised.
+    def __init__(self, mode: Mode, size: int, scenario: Scenario):
+        m, n = scenario.anchors.positions.shape
+        fitted = m if mode is Mode.ONE_WAY else 2 * m
+        shapes = {"anchors": (m, n), "delays": (m,), "observed": (fitted,), "weights": (fitted,),
+                  "initial": (mode.param_dim(n),), "velocity": (n,), "truth": (n,),
+                  "truth_velocity": (n,), "truth_offset": ()}
+        for name, shape in shapes.items():
+            setattr(self, name, np.zeros((size,) + shape))
+        self.mode = mode
+        self.bias_inputs: list = [None] * size
+
+    def add(self, row: int, s: Scenario, meas, start: np.ndarray, velocity, assumed) -> None:
+        n = start.size
+        self.anchors[row] = s.anchors.positions
+        self.delays[row] = meas.schedule.delays
+        self.observed[row] = meas.stacked[: self.observed.shape[1]]
+        self.weights[row] = meas.weights[: self.weights.shape[1]]
+        # default_initial's iterate: the start, the first response as clock
+        # offset, zero drift and velocity
+        self.initial[row, :n] = start
+        self.initial[row, n] = meas.response[0]
+        if velocity is not None:  # the solver's velocity stays zero unless it is known
+            self.velocity[row] = velocity
+        self.truth[row] = s.ud.position
+        self.truth_velocity[row] = s.ud.velocity
+        self.truth_offset[row] = s.ud.clock_offset_m
+        if assumed is not None:
+            self.bias_inputs[row] = (s.anchors, s.ud, s.schedule, s.noise, assumed)
+
+    def outcomes(self, threshold: float, max_iter: int, profile: bool) -> list[ModeOutcome]:
+        """Solve and score every row; each is charged the batch's mean solve time."""
+        t0 = time.perf_counter()
+        est = solve_batch(
+            self.mode, self.anchors, self.delays, self.observed, self.weights, self.initial,
+            self.velocity, threshold, max_iter,
+        )
+        elapsed = (time.perf_counter() - t0) / len(self.initial)
+        # generate weights every epoch by weight_vector(noise), which fim
+        # reads: every sigma of an ExperimentConfig is positive
+        pos_crlb, clk_crlb = analysis.position_clock_crlb(
+            self.mode, self.anchors, self.delays, self.truth, self.truth_velocity, self.weights
+        )
+        n = self.truth.shape[1]
+        err = est.theta[:, :n] - self.truth
+        pos_err = np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0]  # np.linalg.norm's ddot
+        clk_err = np.abs(est.theta[:, n] - self.truth_offset)
+        outcomes = []
+        for row, (iterations, e_pos, e_clk, c_pos, c_clk) in enumerate(zip(
+            est.iterations, pos_err.tolist(), clk_err.tolist(), pos_crlb.tolist(), clk_crlb.tolist()
+        )):
+            failed = est.failures[row] is not None
+            outcome = ModeOutcome(
+                # a profiled run spends its whole iteration budget by
+                # construction; completing it counts as converged
+                converged=iterations == max_iter if profile and not failed else est.converged[row],
+                iterations=iterations,
+                pos_err_m=e_pos,
+                clk_err_m=e_clk,
+                solve_time_s=elapsed,
+                crlb_pos_sq=c_pos**2,
+                crlb_clk_sq=c_clk**2,
+                failed=failed,
+            )
+            if self.bias_inputs[row] is not None:
+                bias = analysis.velocity_mismatch_bias(*self.bias_inputs[row])
+                outcome.pred_rmse_pos = bias.predicted_rmse_position
+                outcome.pred_rmse_clk = bias.predicted_rmse_clock
+            outcomes.append(outcome)
+        return outcomes
+
+
+def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> list[TrialRecord]:
+    """Execute a block of seeded trials at one sweep point.
+
+    Each trial draws its scenario, measurements and random initial position
+    in a fixed order; then each outcome label is solved and scored for the
+    whole block at once. The records do not depend on the block's size.
     """
     sweep_value = config.sweep_values[sweep_index]
     # the iteration profile varies only the solver budget, so every sweep
     # point replays the same trials to make the per-budget RMSEs paired
     seed_sweep = 0 if config.kind == ITERATION_PROFILE else sweep_index
-    rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
 
     sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
     speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
     radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
-
-    scenario = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    initial_position = scenario.ud.position + radius * np.array([np.cos(angle), np.sin(angle)])
     # the iteration profile forces exactly max_iter iterations
     profile = config.kind == ITERATION_PROFILE
     threshold = 1e-300 if profile else sigma / 10.0
     max_iter = int(sweep_value) if profile else 10
 
-    record = TrialRecord()
-    for label, s, meas, mode, velocity, assumed in _runs(config, scenario, rng, sweep_value):
-        solver = SolverConfig(max_iter, threshold, velocity)
-        initial = default_initial(mode, initial_position, meas)
-        t0 = time.perf_counter()
-        report = solve(meas, s.anchors, solver, initial)
-        elapsed = time.perf_counter() - t0
-        fim_report = analysis.fim(mode, s.anchors, s.ud, s.schedule, s.noise)
-        failed = report.failure_reason is not None
-        outcome = ModeOutcome(
-            # a profiled run spends its whole iteration budget by construction;
-            # completing it counts as converged for aggregation purposes
-            converged=report.iterations_used == max_iter if profile and not failed
-            else report.converged,
-            iterations=report.iterations_used,
-            pos_err_m=float(np.linalg.norm(report.estimate.position - s.ud.position)),
-            clk_err_m=float(abs(report.estimate.clock_offset_m - s.ud.clock_offset_m)),
-            solve_time_s=elapsed,
-            crlb_pos_sq=fim_report.position_crlb_rss**2,
-            crlb_clk_sq=fim_report.clock_crlb**2,
-            failed=failed,
-        )
-        if assumed is not None:
-            bias = analysis.velocity_mismatch_bias(s.anchors, s.ud, s.schedule, s.noise, assumed)
-            outcome.pred_rmse_pos = bias.predicted_rmse_position
-            outcome.pred_rmse_clk = bias.predicted_rmse_clock
-        record.outcomes[label] = outcome
-    return record
+    blocks: dict[str, _LabelBlock] = {}
+    for row, trial_index in enumerate(trial_indices):
+        rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
+        scenario = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        start = scenario.ud.position + radius * np.array([np.cos(angle), np.sin(angle)])
+        for label, s, meas, mode, velocity, assumed in _runs(config, scenario, rng, sweep_value):
+            if label not in blocks:
+                blocks[label] = _LabelBlock(mode, len(trial_indices), s)
+            blocks[label].add(row, s, meas, start, velocity, assumed)
+
+    records = [TrialRecord() for _ in trial_indices]
+    for label, block in blocks.items():
+        for record, outcome in zip(records, block.outcomes(threshold, max_iter, profile)):
+            record.outcomes[label] = outcome
+    return records
+
+
+def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> TrialRecord:
+    """Execute one seeded trial at one sweep point: a block of one trial.
+
+    Solver failures are recorded in the outcome, never raised.
+    """
+    return _run_block(config, sweep_index, [trial_index])[0]
 
 
 @dataclass(frozen=True)
@@ -305,30 +384,40 @@ def aggregate(
     )
 
 
-def _trial_batch(args) -> list[list[TrialRecord]]:
-    config, points, start, stop = args
-    return [[run_trial(config, i, t) for i in points] for t in range(start, stop)]
+def _block_batch(args) -> list[list[list[TrialRecord]]]:
+    config, points, start, stop, block = args
+    return [
+        [_run_block(config, i, range(first, min(first + block, stop))) for i in points]
+        for first in range(start, stop, block)
+    ]
 
 
 def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
     """Trial records at each sweep point of ``points``, in trial-index order.
 
-    Each trial runs its points back to back, in-process or in pool workers
-    over chunks of trials; the records do not depend on ``jobs``."""
-    chunk = max(1, config.trials // (config.jobs * 8))
+    Trials run in blocks of at most BLOCK, in-process or in pool chunks of
+    whole blocks; each block runs its points back to back. The records do
+    not depend on ``jobs`` or on the block size."""
+    blocks = -(-config.trials // BLOCK)
+    chunk = BLOCK * max(1, blocks // (config.jobs * 8))
     batches = [
-        (config, points, start, min(start + chunk, config.trials))
+        (config, points, start, min(start + chunk, config.trials), BLOCK)
         for start in range(0, config.trials, chunk)
     ]
     if config.jobs == 1:
-        results = map(_trial_batch, batches)
+        results = map(_block_batch, batches)
     else:
         from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_trial_batch, batches))
-    rows = [row for batch in results for row in batch]
-    return [list(column) for column in zip(*rows)]
+        workers = min(config.jobs, len(batches), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_block_batch, batches))
+    per_point: list[list[TrialRecord]] = [[] for _ in points]
+    for batch in results:
+        for block in batch:
+            for records, block_records in zip(per_point, block):
+                records.extend(block_records)
+    return per_point
 
 
 def run_sweep_point(config: ExperimentConfig, sweep_index: int) -> list[TrialRecord]:

@@ -7,6 +7,7 @@ from toaloc.analysis import (
     check_known_velocity_advantage,
     check_two_way_advantage,
     fim,
+    position_clock_crlb,
     stationary_assumption_bias,
     velocity_mismatch_bias,
 )
@@ -18,7 +19,7 @@ from toaloc.estimator import (
     model_h,
     solve,
 )
-from toaloc.linalg import is_positive_semidefinite
+from toaloc.linalg import SingularMatrix, is_positive_semidefinite
 from toaloc.measurement import generate, weight_vector
 from toaloc.scenario import (
     AnchorSet,
@@ -248,3 +249,42 @@ class TestBiasPredictors:
             "predicted_rmse_position_m",
             "predicted_rmse_clock_m",
         }
+
+
+class TestPositionClockCrlb:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_rows_equal_fim(self, mode):
+        # one stack over random geometries of one anchor count: every row
+        # must carry the bits fim reports for its geometry alone
+        rng = np.random.default_rng(300)
+        cases = []
+        while len(cases) < 60:
+            case = random_case(rng)
+            if case[0].count == 5:
+                cases.append(case)
+        pos, clk = position_clock_crlb(
+            mode,
+            np.array([a.positions for a, _, _, _ in cases]),
+            np.array([s.delays for _, _, s, _ in cases]),
+            np.array([ud.position for _, ud, _, _ in cases]),
+            np.array([ud.velocity for _, ud, _, _ in cases]),
+            np.array([weight_vector(noise) for _, _, _, noise in cases]),
+        )
+        for i, case in enumerate(cases):
+            report = fim(mode, *case)
+            assert pos[i] == report.position_crlb_rss and clk[i] == report.clock_crlb
+
+    def test_singular_row_raises_as_fim(self):
+        # a device on the line of collinear anchors cannot be placed across it
+        anchors = AnchorSet(np.array([[-300.0, 0.0], [-100.0, 0.0], [100.0, 0.0], [300.0, 0.0]]))
+        ud = UdState(np.array([0.0, 0.0]), np.zeros(2), 0.0, 0.0)
+        schedule = ResponseSchedule(0.01 * np.arange(1, 5))
+        noise = NoiseSpec.uniform(0.1, 4)
+        with pytest.raises(SingularMatrix) as single:
+            fim(Mode.KNOWN_VELOCITY, anchors, ud, schedule, noise)
+        with pytest.raises(SingularMatrix) as batch:
+            position_clock_crlb(
+                Mode.KNOWN_VELOCITY, anchors.positions[None], schedule.delays[None],
+                ud.position[None], ud.velocity[None], weight_vector(noise)[None],
+            )
+        assert str(batch.value) == str(single.value)

@@ -244,6 +244,11 @@ class TestExperiment:
             {"modes": []},
             {"jobs": -3},
             {"initial_radius_m": float("nan")},
+            {"trials": 2.7},
+            {"jobs": 1.9},
+            {"base_seed": 3.5},
+            {"trials": True},
+            {"trials": "3"},
         ],
         ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from toaloc.estimator import (
     gauss_newton_step,
     model_h,
     solve,
+    solve_batch,
 )
 from toaloc.linalg import DimensionMismatch
 from toaloc.measurement import forward, generate
@@ -399,3 +401,80 @@ class TestReport:
             theta = random_params(rng, mode, rng.uniform(-100, 100, 2))
             back = ParamVector.from_array(mode, theta.to_array(), 2)
             assert np.array_equal(back.to_array(), theta.to_array())
+
+
+def seeded_epochs(count=300):
+    """Seeded epochs at four noise levels with starts 10 m to 10,000 km out,
+    NaN starts and starts on an anchor."""
+    radii = (10.0, 50.0, 200.0, 1e4, 1e7)
+    for e in range(count):
+        rng = np.random.default_rng(1000 + e)
+        sc = benchmark_scenario(rng, sigma_m=(0.01, 0.1, 1.0, 5.0)[e % 4])
+        meas = generate(sc, rng)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        start = sc.ud.position + radii[e % 5] * np.array([np.cos(angle), np.sin(angle)])
+        if e % 37 == 5:
+            start = np.array([np.nan, 0.0])
+        if e % 41 == 7:
+            start = sc.anchors.positions[e % 4].copy()
+        yield e, sc, meas, start
+
+
+def report_bytes(report):
+    text = repr((report.iterations_used, report.converged, report.trace, report.failure_reason))
+    return report.estimate.to_array().tobytes() + text.encode()
+
+
+# SHA-256 over report_bytes of the 1200 solves below, recorded when solve
+# iterated on one epoch with its own scalar step.
+SOLVE_GOLDEN = "f344c2ce7f6832076ed003c8c34d1ec2775c2c52abc2c3ba3d1dedfbb6258c3f"
+
+
+def test_solve_golden():
+    digest = hashlib.sha256()
+    reasons = set()
+    for e, sc, meas, start in seeded_epochs():
+        for mode in ALL_MODES:
+            known = sc.ud.velocity if mode is Mode.KNOWN_VELOCITY else None
+            config = SolverConfig(max_iterations=1 + e % 10, known_velocity_mps=known)
+            report = solve(meas, sc.anchors, config, default_initial(mode, start, meas))
+            reasons.add((report.failure_reason or "").split(":")[0])
+            digest.update(report_bytes(report))
+    # every way a solve can stop is covered
+    assert reasons == {"", "SingularNormalEquations", "NonFiniteIterate", "DegenerateGeometry"}
+    assert digest.hexdigest() == SOLVE_GOLDEN
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_batch_rows_equal_their_single_epoch_reports(mode):
+    # one batch holding converging, budget-limited and failing rows: each row
+    # must end exactly as solve leaves its epoch alone
+    epochs = list(seeded_epochs())
+    config = SolverConfig(max_iterations=6, convergence_threshold_m=0.01)
+    reports, initial, velocity = [], [], []
+    for _, sc, meas, start in epochs:
+        known = sc.ud.velocity if mode is Mode.KNOWN_VELOCITY else np.zeros(2)
+        guess = default_initial(mode, start, meas)
+        reports.append(solve(meas, sc.anchors, SolverConfig(6, 0.01, known), guess))
+        initial.append(guess.to_array())
+        velocity.append(known)
+    rows = 4 if mode is Mode.ONE_WAY else 8
+    out = solve_batch(
+        mode,
+        np.array([sc.anchors.positions for _, sc, _, _ in epochs]),
+        np.array([meas.schedule.delays for _, _, meas, _ in epochs]),
+        np.array([meas.stacked[:rows] for _, _, meas, _ in epochs]),
+        np.array([meas.weights[:rows] for _, _, meas, _ in epochs]),
+        np.array(initial),
+        np.array(velocity),
+        config.convergence_threshold_m,
+        config.max_iterations,
+    )
+    assert {r.failure_reason is None for r in reports} == {True, False}
+    assert {r.converged for r in reports} == {True, False}
+    for i, report in enumerate(reports):
+        assert out.theta[i].tobytes() == report.estimate.to_array().tobytes(), i
+        assert out.iterations[i] == report.iterations_used
+        assert out.converged[i] == report.converged
+        assert out.traces[i] == report.trace
+        assert out.failure_reason(i) == report.failure_reason

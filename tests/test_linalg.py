@@ -14,6 +14,7 @@ from toaloc.linalg import (
     invert_spd,
     is_positive_semidefinite,
     solve_spd,
+    solve_spd_rows,
 )
 
 
@@ -131,3 +132,59 @@ class TestIsPositiveSemidefinite:
         for _ in range(20):
             b = rng.normal(size=(6, 4))
             assert is_positive_semidefinite(b.T @ b, tol=1e-12)
+
+
+def outcome(a, b):
+    """solve_spd's result, or the type and message of what it raises."""
+    try:
+        return solve_spd(a, b).tobytes()
+    except (SingularMatrix, NonFiniteMatrix) as exc:
+        return type(exc), str(exc)
+
+
+class TestSolveSpdRows:
+    def stack(self, seed, p):
+        """SPD systems mixed with singular, indefinite, near-singular and
+        non-finite ones."""
+        rng = np.random.default_rng(seed)
+        a, b = [], []
+        for k in range(120):
+            m = rng.normal(size=(p + 2, p)) * 10.0 ** rng.uniform(-3, 3, p)
+            spd = m.T @ m + 1e-3 * np.eye(p)
+            kind = k % 6
+            if kind == 1:
+                spd = np.outer(m[0], m[0])  # rank one
+            elif kind == 2:
+                spd = spd - 2.0 * np.abs(spd).max() * np.eye(p)  # indefinite
+            elif kind == 3:
+                spd[0, 0] = 1e-14 * spd[0, 0]
+                spd[0, 1:] = spd[1:, 0] = 0.0  # below the pivot floor
+            elif kind == 4:
+                spd[1, 2] = spd[2, 1] = np.nan
+            a.append(spd)
+            b.append(rng.normal(size=p))
+        return np.array(a), np.array(b)
+
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    def test_every_row_matches_solve_spd(self, p):
+        a, b = self.stack(p, p)
+        x, errors = solve_spd_rows(a, b)
+        kinds = set()
+        for i in range(len(a)):
+            expected = outcome(a[i], b[i])
+            got = (type(errors[i]), str(errors[i])) if errors[i] else x[i].tobytes()
+            assert got == expected, i
+            kinds.add(expected[1].split(" (")[0] if isinstance(expected, tuple) else "solved")
+        assert kinds == {
+            "solved", "Matrix is not positive definite", "pivot below singularity tolerance",
+            "a contains non-finite entries",
+        }
+
+    def test_all_solvable_stack_matches_solve_spd(self):
+        for p in (3, 4, 6):
+            a, b = self.stack(10 + p, p)
+            keep = [i for i in range(len(a)) if not isinstance(outcome(a[i], b[i]), tuple)]
+            x, errors = solve_spd_rows(a[keep], b[keep])
+            assert errors == [None] * len(keep)
+            for row, i in enumerate(keep):
+                assert x[row].tobytes() == solve_spd(a[i], b[i]).tobytes()

@@ -245,3 +245,50 @@ class TestSerialization:
         sc = Scenario(sc.anchors, sc.ud, sc.schedule, noise)
         text = generate(sc, np.random.default_rng(0)).to_json()
         assert text == json.dumps(json.loads(GOLDEN_JSON), indent=2)
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"response": True, "velocity_columns": False},
+            {"response": True, "velocity_columns": True},
+            {"response": False, "velocity_columns": False},
+        ],
+        ids=["known", "estimated", "one-way"],
+    )
+    def test_rows_equal_lone_epochs(self, layout):
+        rng = np.random.default_rng(21)
+        t = 40
+        anchors = rng.uniform(-400, 400, (t, 5, 2))
+        delays = np.sort(rng.uniform(0.002, 0.08, (t, 5)), axis=1)
+        position = rng.uniform(-250, 250, (t, 2))
+        velocity = rng.uniform(-50, 50, (t, 2))
+        offset = rng.uniform(-1e3, 1e3, (t, 1))
+        drift = rng.uniform(-1e2, 1e2, (t, 1))
+        h, g = forward(anchors, delays, position, velocity, offset, drift, jacobian=True, **layout)
+        # a second call reusing g and a precomputed v*dt gives the same bits
+        shift = velocity[:, None, :] * delays[:, :, None]
+        h2, g2 = forward(
+            anchors, delays, position, velocity, offset, drift, jacobian=True, shift=shift,
+            g=g.copy(), **layout,
+        )
+        assert h2.tobytes() == h.tobytes() and g2.tobytes() == g.tobytes()
+        for i in range(t):
+            h1, g1 = forward(
+                anchors[i], delays[i], position[i], velocity[i], float(offset[i, 0]),
+                float(drift[i, 0]), jacobian=True, **layout,
+            )
+            assert h[i].tobytes() == h1.tobytes() and g[i].tobytes() == g1.tobytes()
+            plain = forward(
+                anchors[i], delays[i], position[i], velocity[i], float(offset[i, 0]),
+                float(drift[i, 0]), response=layout["response"],
+            )
+            assert plain.tobytes() == h1.tobytes()
+
+    def test_degenerate_rows_are_marked(self):
+        anchors = np.array([[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]] * 3)
+        position = np.array([[5.0, 5.0], [10.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(DegenerateGeometry) as exc:
+            forward(anchors, np.full((3, 3), 0.01), position, np.zeros((3, 2)), 0.0, 0.0)
+        assert exc.value.rows.tolist() == [False, True, False]

@@ -1,11 +1,14 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from toaloc import montecarlo
 from toaloc.estimator import Mode
 from toaloc.montecarlo import (
     CSV_COLUMNS,
@@ -130,6 +133,12 @@ class TestConfig:
             {"delay_step_ms": [-5.0]},
             {"delay_step_ms": [0.0]},
             {"delay_step_ms": [float("inf")]},
+            {"trials": 2.7},
+            {"jobs": 1.9},
+            {"base_seed": 3.5},
+            {"trials": True},
+            {"jobs": "3"},
+            {"base_seed": float("nan")},
         ],
         ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()),
     )
@@ -153,6 +162,12 @@ class TestConfig:
             sigma_m=0.5,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_whole_number_floats_are_counts(self):
+        doc = {"kind": "noise-sweep", "sweep_values": [1.0], "trials": 3.0, "jobs": 2.0}
+        config = ExperimentConfig.from_dict(doc)
+        assert (config.trials, config.jobs) == (3, 2)
+        assert type(config.trials) is int and type(config.jobs) is int
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         for kind in ("noise-sweep", "success-rate"):
@@ -303,3 +318,97 @@ def test_manifest_config_golden():
         '"trials": 12, "base_seed": 99, "modes": ["estimated-velocity", "one-way"], '
         '"initial_radius_m": 20.0, "sigma_m": 0.5, "delay_step_ms": [5.0, 20.0], "jobs": 2}'
     )
+
+
+ALL_MODES = tuple(Mode)
+
+# SHA-256 over untimed() of every record at both sweep values, 150 trials
+# each, recorded when every trial was solved on its own; the block runner
+# must reproduce them for any block size and any jobs setting.
+RECORD_GOLDENS = {
+    "noise-sweep": (
+        ExperimentConfig("noise-sweep", (0.1, 3.0), trials=150, modes=ALL_MODES),
+        "962a234335d084275bed7151adaa42980fcead0ea575cdbc0628711bd36b9fe9",
+    ),
+    "speed-sweep": (
+        ExperimentConfig("speed-sweep", (0.0, 50.0), trials=150),
+        "f98e6caebc25feb6569f0d79a31b89e267f09e674fa3da537878b9f8cc2623b1",
+    ),
+    "stationary-baseline": (
+        ExperimentConfig("stationary-baseline", (0.0, 50.0), trials=150, delay_step_ms=(5.0, 20.0)),
+        "27a5089d6bfc6b87bd6e130279ffeeec5b600516dea009a941dd8ea6e573f3ea",
+    ),
+    "velocity-mismatch": (
+        ExperimentConfig("velocity-mismatch", (2.0, 8.0), trials=150),
+        "2b46fa7e0708bee2301b15fb9440bad9b4e90dd31fe1f9ba53ef511e60bdc757",
+    ),
+    "success-rate": (
+        ExperimentConfig("success-rate", (10.0, 200.0), trials=150, sigma_m=5.0),
+        "095c10a68fbaef814575f5355d0ef4f78366803199a970f103a8eb67e8c5308c",
+    ),
+    # starts 1 and 5 km out: most rows end in singular normal equations
+    "success-rate-far": (
+        ExperimentConfig(
+            "success-rate", (1000.0, 5000.0), trials=150, sigma_m=5.0, modes=ALL_MODES
+        ),
+        "886a02c2cf1abddda4703724931ae11447248baf39dbe2a94c388055e727c0a0",
+    ),
+    "iteration-profile": (
+        ExperimentConfig("iteration-profile", (1.0, 3.0), trials=150),
+        "0aea7cd6263b3c20b3404f907ecb6e8d9ff1971513590b3c11bb75ec5df1ebee",
+    ),
+}
+
+
+@pytest.mark.parametrize("block,jobs", [(1, 1), (7, 1), (128, 1), (1, 2), (7, 2), (128, 2)])
+@pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
+def test_records_match_goldens_for_any_block_size(name, block, jobs, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK", block)
+    config, digest = RECORD_GOLDENS[name]
+    per_point = montecarlo._run_points(replace(config, jobs=jobs), range(len(config.sweep_values)))
+    sha = hashlib.sha256()
+    for records in per_point:
+        assert len(records) == config.trials
+        for record in records:
+            sha.update(untimed(record).encode())
+    assert sha.hexdigest() == digest
+
+
+def test_run_trial_is_a_block_of_one():
+    config = RECORD_GOLDENS["noise-sweep"][0]
+    block = montecarlo._run_block(config, 1, range(10, 20))
+    assert [untimed(r) for r in block] == [untimed(run_trial(config, 1, t)) for t in range(10, 20)]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,trials,cpus,expected",
+    [(5000, 6, 3, 3), (5000, 2, 16, 2), (4, 40, 16, 4), (5000, 6, None, 1)],
+)
+def test_pool_workers_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus, expected):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "BLOCK", 1)
+    RecordingPool.seen = []
+    config = ExperimentConfig("noise-sweep", (0.1,), trials=trials, jobs=jobs)
+    records = run_sweep_point(config, 0)
+    assert RecordingPool.seen == [expected]
+    expected = [untimed(run_trial(config, 0, t)) for t in range(trials)]
+    assert [untimed(r) for r in records] == expected
