@@ -68,14 +68,17 @@ class BiasReport:
         )
 
 
-def _design_at_truth(mode: Mode, anchors: AnchorSet, ud: UdState, schedule: ResponseSchedule):
-    """Jacobian at the true state; the stationary baseline assumes zero velocity."""
-    velocity = np.zeros(anchors.n_dim) if mode is Mode.STATIONARY else ud.velocity
-    _, g = forward(
-        anchors.positions, schedule.delays, ud.position, velocity, 0.0, 0.0,
-        jacobian=True, **mode.layout,
-    )
-    return g
+def _design_at_truth(mode: Mode, anchors_m, delays, position, velocity) -> np.ndarray:
+    """Jacobian at the true state, of one epoch or a stack of them; the
+    stationary baseline assumes zero velocity."""
+    if mode is Mode.STATIONARY:
+        velocity = np.zeros_like(velocity)
+    return forward(anchors_m, delays, position, velocity, 0.0, 0.0, jacobian=True, **mode.layout)[1]
+
+
+def _fisher(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """F = G'WG for a Jacobian, or a stack of them, and its weighting diagonal."""
+    return g.swapaxes(-1, -2) @ (g * weights[..., : g.shape[-2], None])
 
 
 def fim(
@@ -86,9 +89,8 @@ def fim(
     noise: NoiseSpec,
 ) -> FimReport:
     """Fisher information F = G'WG at the true parameter, and CRLB diagonals."""
-    g = _design_at_truth(mode, anchors, ud, schedule)
-    w = weight_vector(noise)[: g.shape[0]]
-    f = g.T @ (g * w[:, None])
+    g = _design_at_truth(mode, anchors.positions, schedule.delays, ud.position, ud.velocity)
+    f = _fisher(g, weight_vector(noise))
     cov = invert_spd(f)
     crlb = cov.diagonal().copy()
     n = anchors.n_dim
@@ -118,10 +120,7 @@ def position_clock_crlb(
     entries read, with the bits the full identity gives. Raises as fim does
     when a row's F is singular or not finite.
     """
-    if mode is Mode.STATIONARY:
-        velocities = np.zeros_like(velocities)
-    _, g = forward(anchors_m, delays, positions, velocities, 0.0, 0.0, jacobian=True, **mode.layout)
-    f = np.swapaxes(g, 1, 2) @ (g * weights[:, : g.shape[1], None])
+    f = _fisher(_design_at_truth(mode, anchors_m, delays, positions, velocities), weights)
     n = positions.shape[-1]
     columns = np.repeat(np.eye(f.shape[-1])[None, :, : n + 1], len(f), axis=0)
     cov, errors = solve_spd_rows(f, columns)
@@ -155,7 +154,9 @@ def check_known_velocity_advantage(
     holds = bool(np.all(margins > -tol * scale))
 
     # mechanism: split the velocity columns out of the joint design matrix
-    g_ev = _design_at_truth(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule)
+    g_ev = _design_at_truth(
+        Mode.ESTIMATED_VELOCITY, anchors.positions, schedule.delays, ud.position, ud.velocity
+    )
     m = anchors.count
     w_tau = weight_vector(noise)[m:]
     g1_lam = g_ev[m:, : n + 2]  # [G1, delay column]
@@ -190,7 +191,9 @@ def check_two_way_advantage(
     scale = np.maximum(np.abs(crlb_ow), np.abs(crlb_ev[: n + 1]))
     holds = bool(np.all(margins >= -tol * scale))
 
-    g_ev = _design_at_truth(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule)
+    g_ev = _design_at_truth(
+        Mode.ESTIMATED_VELOCITY, anchors.positions, schedule.delays, ud.position, ud.velocity
+    )
     w_tau = weight_vector(noise)[m:]
     g1 = g_ev[m:, : n + 1]
     g2 = g_ev[m:, n + 1 :]
