@@ -77,7 +77,7 @@ def _design_at_truth(mode: Mode, anchors_m, delays, position, velocity) -> np.nd
 
 
 def _fisher(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """F = G'WG for a Jacobian, or a stack of them, and its weighting diagonal."""
+    """F = G'WG from a Jacobian (or a stack of them) and its weighting diagonal."""
     return g.swapaxes(-1, -2) @ (g * weights[..., : g.shape[-2], None])
 
 
