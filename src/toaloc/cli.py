@@ -32,7 +32,7 @@ from .estimator import default_initial, solve
 from .linalg import DimensionMismatch, SingularMatrix
 from .measurement import DegenerateGeometry, InvalidMeasurements, InvalidNoise
 from .measurement import ToaMeasurementSet, generate
-from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario, UdState
+from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario, UdState, direction
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,14 +118,15 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _seed_override(seed: int | None) -> int | None:
+def _seed_override(seed) -> int | None:
     env = os.environ.get("TOA_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise ConfigError(f"TOA_SEED must be an integer, got {env!r}") from None
-    return seed
+    with _reading():
+        return None if seed is None else montecarlo.whole_number(seed, "seed")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -145,7 +146,7 @@ def _require(doc: dict, key: str):
 def _solver_from(doc: dict) -> SolverConfig:
     solver = doc.get("solver", {})
     return SolverConfig(
-        max_iterations=int(solver.get("max_iterations", 10)),
+        max_iterations=montecarlo.whole_number(solver.get("max_iterations", 10), "max_iterations"),
         convergence_threshold_m=solver.get("convergence_threshold_m"),
         known_velocity_mps=solver.get("known_velocity_mps"),
     )
@@ -185,9 +186,7 @@ def cmd_solve(args) -> int:
             if "velocity_mps" in init_doc and mode is Mode.ESTIMATED_VELOCITY:
                 initial.velocity = np.asarray(init_doc["velocity_mps"], dtype=float)
     elif scenario is not None:
-        rng_init = np.random.default_rng(seed)
-        angle = rng_init.uniform(0.0, 2.0 * np.pi)
-        offset = 50.0 * np.array([np.cos(angle), np.sin(angle)])
+        offset = 50.0 * direction(np.random.default_rng(seed).random())
         initial = default_initial(mode, scenario.ud.position + offset, measurements)
     else:
         raise ConfigError("config field 'initial' is missing (required with raw measurements)")
@@ -250,13 +249,14 @@ def cmd_predict_bias(args) -> int:
 def cmd_verify_theorems(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     with _reading():
-        instances = int(
-            args.instances if args.instances is not None else doc.get("instances", 1000)
-        )
+        instances = args.instances if args.instances is not None else doc.get("instances", 1000)
+        instances = montecarlo.whole_number(instances, "instances")
     if instances < 1:
         raise ConfigError("instance count must be >= 1")
     seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
-    equal_delays = bool(doc.get("equal_delays", False)) or args.equal_delays
+    if type(doc.get("equal_delays", False)) is not bool:
+        raise ConfigError(f"equal_delays must be true or false, got {doc['equal_delays']!r}")
+    equal_delays = doc.get("equal_delays", False) or args.equal_delays
     rng = np.random.default_rng(seed)
 
     violations = []

@@ -180,36 +180,38 @@ def weight_vector(noise: NoiseSpec) -> np.ndarray:
     )
 
 
+def synthesize(
+    anchors_m: np.ndarray, delays: np.ndarray, position: np.ndarray, velocity: np.ndarray,
+    clock_offset_m, clock_drift_mps, noise: NoiseSpec, z: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy stacked measurements (..., 2M) and their weighting diagonal (2M,).
+
+    The measurements are forward's model plus the standard normals z
+    (..., 2M) scaled by the request sigmas, then the response sigma; the
+    state may carry leading batch axes as in forward. When any sigma is zero
+    the measurements are exact at that index and every weight falls back to
+    one (a zero-variance measurement has no finite ML weight).
+    """
+    m = noise.sigma_request.size
+    sigma = np.concatenate([noise.sigma_request, np.full(m, noise.sigma_response)])
+    model = forward(anchors_m, delays, position, velocity, clock_offset_m, clock_drift_mps)
+    weights = weight_vector(noise) if (sigma > 0.0).all() else np.ones(2 * m)
+    return model + z * sigma, weights
+
+
 def generate(scenario: Scenario, rng: np.random.Generator) -> ToaMeasurementSet:
-    """Draw one noisy measurement epoch from ground truth.
+    """Draw one noisy measurement epoch from ground truth: synthesize on one row.
 
     Request noises are drawn first, then response noises, so two scenarios
     differing only in their schedules produce identical request halves for
     the same generator state. Response noises are i.i.d. per anchor.
-
-    When any sigma is zero the measurements are exact at that index and every
-    weight falls back to one (a zero-variance measurement has no finite ML
-    weight).
     """
-    noise = scenario.noise
     ud = scenario.ud
     m = scenario.anchors.count
-
-    model = forward(
+    stacked, weights = synthesize(
         scenario.anchors.positions, scenario.schedule.delays, ud.position, ud.velocity,
-        ud.clock_offset_m, ud.clock_drift_mps,
+        ud.clock_offset_m, ud.clock_drift_mps, scenario.noise, rng.standard_normal(2 * m),
     )
-    eps_req = rng.normal(0.0, 1.0, size=m) * noise.sigma_request
-    eps_resp = rng.normal(0.0, 1.0, size=m) * noise.sigma_response
-
-    if np.all(noise.sigma_request > 0.0) and noise.sigma_response > 0.0:
-        weights = weight_vector(noise)
-    else:
-        weights = np.ones(2 * m)
-
     return ToaMeasurementSet(
-        request=model[:m] + eps_req,
-        response=model[m:] + eps_resp,
-        schedule=scenario.schedule,
-        weights=weights,
+        request=stacked[:m], response=stacked[m:], schedule=scenario.schedule, weights=weights
     )

@@ -15,16 +15,17 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import analysis
-# the block runner calls solve_batch; default_initial and solve stay
-# importable here because perfbench/spans.py wraps them at these names
+# default_initial, solve, generate and benchmark_scenario are unused here but
+# stay importable: perfbench/spans.py wraps them at these names
 from .estimator import Mode, default_initial, solve, solve_batch  # noqa: F401
-from .measurement import generate
-from .scenario import ResponseSchedule, Scenario, benchmark_scenario
+from .measurement import generate, synthesize  # noqa: F401
+from .scenario import SPEED_OF_LIGHT, UdState, benchmark_parts, benchmark_scenario  # noqa: F401
+from .scenario import benchmark_states, direction
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,8 +80,8 @@ def derive_seed(base_seed: int, sweep_index: int, trial_index: int) -> int:
     return x
 
 
-def _whole(value, name: str) -> int:
-    """A count from a config document: an integer, or a float without a fraction."""
+def whole_number(value, name: str) -> int:
+    """A count or seed from a config document: an integer, or a float without a fraction."""
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -135,13 +136,13 @@ class ExperimentConfig:
         return cls(
             kind=doc["kind"],
             sweep_values=tuple(float(v) for v in doc["sweep_values"]),
-            trials=_whole(d["trials"], "trials"),
-            base_seed=_whole(d["base_seed"], "base_seed"),
+            trials=whole_number(d["trials"], "trials"),
+            base_seed=whole_number(d["base_seed"], "base_seed"),
             modes=tuple(Mode(m) for m in d["modes"]),
             initial_radius_m=float(d["initial_radius_m"]),
             sigma_m=float(d["sigma_m"]),
             delay_step_ms=tuple(float(v) for v in d["delay_step_ms"]),
-            jobs=_whole(d["jobs"], "jobs"),
+            jobs=whole_number(d["jobs"], "jobs"),
         )
 
 
@@ -164,89 +165,99 @@ class TrialRecord:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
-def _runs(config: ExperimentConfig, scenario: Scenario, rng: np.random.Generator, sweep_value):
-    """Every solve of one trial of the configured kind, as (label, scenario,
-    measurements, mode, velocity for the solver, assumed velocity for the
-    bias predictor or None). Measurements and the deviated velocity are drawn
-    from rng as the solves are reached, in a fixed order."""
-    ud = scenario.ud
-    if config.kind == STATIONARY_BASELINE:
-        # the stationary baseline and the known-velocity estimator on the
-        # same truth for every response-delay step in the configured grid
-        zeros = np.zeros(scenario.anchors.n_dim)
-        for step_ms in config.delay_step_ms:
-            schedule = ResponseSchedule(step_ms * 1e-3 * np.arange(1, scenario.anchors.count + 1))
-            stepped = replace(scenario, schedule=schedule)
-            measurements = generate(stepped, rng)
-            yield f"stationary@dt{step_ms:g}ms", stepped, measurements, Mode.STATIONARY, None, zeros
-            yield (f"known-velocity@dt{step_ms:g}ms", stepped, measurements, Mode.KNOWN_VELOCITY,
-                   ud.velocity, None)
-        return
-    measurements = generate(scenario, rng)
-    if config.kind == VELOCITY_MISMATCH:
+def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> list[TrialRecord]:
+    """Execute a block of seeded trials at one sweep point.
+
+    Only the draw is per trial: each trial's generator fills its row of raw
+    variates in the order benchmark_scenario, the start angle, generate (per
+    response-delay step) and the deviation angle draw them. Everything else,
+    solves included, is computed for the whole block; the records do not
+    depend on the block's size.
+    """
+    sweep_value = config.sweep_values[sweep_index]
+    # the iteration profile varies only the solver budget, so every sweep
+    # point replays the same trials to make the per-budget RMSEs paired
+    seed_sweep = 0 if config.kind == ITERATION_PROFILE else sweep_index
+
+    sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
+    speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
+    radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
+    # the iteration profile forces exactly max_iter iterations
+    profile = config.kind == ITERATION_PROFILE
+    threshold = 1e-300 if profile else sigma / 10.0
+    max_iter = int(sweep_value) if profile else 10
+
+    stationary, mismatch = config.kind == STATIONARY_BASELINE, config.kind == VELOCITY_MISMATCH
+    # anchors, schedule and noise of each epoch a trial synthesizes: the
+    # stationary baseline has one per response-delay step in its grid
+    parts = (
+        [benchmark_parts(sigma, step_ms * 1e-3) for step_ms in config.delay_step_ms]
+        if stationary else [benchmark_parts(sigma)]
+    )
+    m, n = parts[0][0].positions.shape
+    t = len(trial_indices)
+    u = np.empty((t, 8 if mismatch else 7))
+    z = np.empty((t, len(parts), 2 * m))
+    for row, trial_index in enumerate(trial_indices):
+        rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
+        rng.random(out=u[row, :7])
+        rng.standard_normal(out=z[row])
+        if mismatch:
+            rng.random(out=u[row, 7:])
+
+    position, velocity, offset, drift = benchmark_states(u[:, :6], speed)
+    start = position + radius * direction(u[:, 6])
+    offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
+    # each epoch as the block's anchors, delays and weights (repeated per row) and measurements
+    epochs = []
+    for k, (anchors, schedule, noise) in enumerate(parts):
+        stacked, weights = synthesize(
+            anchors.positions, schedule.delays, position, velocity, offset_m[:, None],
+            drift_mps[:, None], noise, z[:, k],
+        )
+        repeat = [x[None].repeat(t, 0) for x in (anchors.positions, schedule.delays, weights)]
+        epochs.append((*repeat, stacked))
+
+    # each label's mode, epoch, velocity for the solver (zeros if None) and
+    # assumed velocity for the bias predictor (no prediction if None)
+    if stationary:  # both estimators on the same truth at every response-delay step
+        runs = {}
+        for k, step_ms in enumerate(config.delay_step_ms):
+            runs[f"stationary@dt{step_ms:g}ms"] = (Mode.STATIONARY, k, None, np.zeros((t, n)))
+            runs[f"known-velocity@dt{step_ms:g}ms"] = (Mode.KNOWN_VELOCITY, k, velocity, None)
+    elif mismatch:
         # the known-velocity estimator fed a velocity deviated from the truth
         # in a random direction by the swept norm
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        assumed = ud.velocity + sweep_value * np.array([np.cos(angle), np.sin(angle)])
-        yield (Mode.KNOWN_VELOCITY.value, scenario, measurements, Mode.KNOWN_VELOCITY,
-               assumed, assumed)
-        return
-    for mode in config.modes:
-        known = ud.velocity if mode is Mode.KNOWN_VELOCITY else None
-        yield mode.value, scenario, measurements, mode, known, None
+        assumed = velocity + sweep_value * direction(u[:, 7])
+        runs = {Mode.KNOWN_VELOCITY.value: (Mode.KNOWN_VELOCITY, 0, assumed, assumed)}
+    else:
+        runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
+                for mode in config.modes}
 
-
-class _LabelBlock:
-    """One outcome label's solves over a block of trials, one row per trial,
-    filled as the trials are drawn."""
-
-    def __init__(self, mode: Mode, size: int, scenario: Scenario):
-        m, n = scenario.anchors.positions.shape
+    records = [TrialRecord() for _ in trial_indices]
+    for label, (mode, k, known, assumed) in runs.items():
+        anchors_m, delays, weights, stacked = epochs[k]
         fitted = m if mode is Mode.ONE_WAY else 2 * m
-        shapes = {"anchors": (m, n), "delays": (m,), "observed": (fitted,), "weights": (fitted,),
-                  "initial": (mode.param_dim(n),), "velocity": (n,), "truth": (n,),
-                  "truth_velocity": (n,), "truth_offset": ()}
-        for name, shape in shapes.items():
-            setattr(self, name, np.zeros((size,) + shape))
-        self.mode = mode
-        self.bias_inputs: list = [None] * size
-
-    def add(self, row: int, s: Scenario, meas, start: np.ndarray, velocity, assumed) -> None:
-        n = start.size
-        self.anchors[row] = s.anchors.positions
-        self.delays[row] = meas.schedule.delays
-        self.observed[row] = meas.stacked[: self.observed.shape[1]]
-        self.weights[row] = meas.weights[: self.weights.shape[1]]
+        weights = weights[:, :fitted]
         # default_initial's iterate: the start, the first response as clock
         # offset, zero drift and velocity
-        self.initial[row, :n] = start
-        self.initial[row, n] = meas.response[0]
-        if velocity is not None:  # the solver's velocity stays zero unless it is known
-            self.velocity[row] = velocity
-        self.truth[row] = s.ud.position
-        self.truth_velocity[row] = s.ud.velocity
-        self.truth_offset[row] = s.ud.clock_offset_m
-        if assumed is not None:
-            self.bias_inputs[row] = (s.anchors, s.ud, s.schedule, s.noise, assumed)
-
-    def outcomes(self, threshold: float, max_iter: int, profile: bool) -> list[ModeOutcome]:
-        """Solve and score every row; each is charged the batch's mean solve time."""
+        initial = np.zeros((t, mode.param_dim(n)))
+        initial[:, :n] = start
+        initial[:, n] = stacked[:, m]
         t0 = time.perf_counter()
         est = solve_batch(
-            self.mode, self.anchors, self.delays, self.observed, self.weights, self.initial,
-            self.velocity, threshold, max_iter,
+            mode, anchors_m, delays, stacked[:, :fitted], weights, initial,
+            np.zeros((t, n)) if known is None else known, threshold, max_iter,
         )
-        elapsed = (time.perf_counter() - t0) / len(self.initial)
-        # generate weights every epoch by weight_vector(noise), which fim
-        # reads: every sigma of an ExperimentConfig is positive
+        elapsed = (time.perf_counter() - t0) / t  # every trial is charged the mean
+        # synthesize weights by weight_vector(noise), as fim does: every sigma
+        # of an ExperimentConfig is positive
         pos_crlb, clk_crlb = analysis.position_clock_crlb(
-            self.mode, self.anchors, self.delays, self.truth, self.truth_velocity, self.weights
+            mode, anchors_m, delays, position, velocity, weights
         )
-        n = self.truth.shape[1]
-        err = est.theta[:, :n] - self.truth
+        err = est.theta[:, :n] - position
         pos_err = np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0]  # np.linalg.norm's ddot
-        clk_err = np.abs(est.theta[:, n] - self.truth_offset)
-        outcomes = []
+        clk_err = np.abs(est.theta[:, n] - offset_m)
         for row, (iterations, e_pos, e_clk, c_pos, c_clk) in enumerate(zip(
             est.iterations, pos_err.tolist(), clk_err.tolist(), pos_crlb.tolist(), clk_crlb.tolist()
         )):
@@ -263,49 +274,13 @@ class _LabelBlock:
                 crlb_clk_sq=c_clk**2,
                 failed=failed,
             )
-            if self.bias_inputs[row] is not None:
-                bias = analysis.velocity_mismatch_bias(*self.bias_inputs[row])
+            if assumed is not None:
+                anchors, schedule, noise = parts[k]
+                ud = UdState(position[row], velocity[row], offset[row], drift[row])
+                bias = analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, assumed[row])
                 outcome.pred_rmse_pos = bias.predicted_rmse_position
                 outcome.pred_rmse_clk = bias.predicted_rmse_clock
-            outcomes.append(outcome)
-        return outcomes
-
-
-def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> list[TrialRecord]:
-    """Execute a block of seeded trials at one sweep point.
-
-    Each trial draws its scenario, measurements and random initial position
-    in a fixed order; then each outcome label is solved and scored for the
-    whole block at once. The records do not depend on the block's size.
-    """
-    sweep_value = config.sweep_values[sweep_index]
-    # the iteration profile varies only the solver budget, so every sweep
-    # point replays the same trials to make the per-budget RMSEs paired
-    seed_sweep = 0 if config.kind == ITERATION_PROFILE else sweep_index
-
-    sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
-    speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
-    radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
-    # the iteration profile forces exactly max_iter iterations
-    profile = config.kind == ITERATION_PROFILE
-    threshold = 1e-300 if profile else sigma / 10.0
-    max_iter = int(sweep_value) if profile else 10
-
-    blocks: dict[str, _LabelBlock] = {}
-    for row, trial_index in enumerate(trial_indices):
-        rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
-        scenario = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        start = scenario.ud.position + radius * np.array([np.cos(angle), np.sin(angle)])
-        for label, s, meas, mode, velocity, assumed in _runs(config, scenario, rng, sweep_value):
-            if label not in blocks:
-                blocks[label] = _LabelBlock(mode, len(trial_indices), s)
-            blocks[label].add(row, s, meas, start, velocity, assumed)
-
-    records = [TrialRecord() for _ in trial_indices]
-    for label, block in blocks.items():
-        for record, outcome in zip(records, block.outcomes(threshold, max_iter, profile)):
-            record.outcomes[label] = outcome
+            records[row].outcomes[label] = outcome
     return records
 
 

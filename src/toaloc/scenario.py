@@ -196,8 +196,9 @@ class Scenario:
 
 
 @lru_cache(maxsize=64)
-def _benchmark_fixed(sigma_m: float, delay_step_s: float):
-    """Anchors, schedule and noise shared by benchmark scenarios, validated once, read-only."""
+def benchmark_parts(sigma_m: float, delay_step_s: float = 0.010):
+    """The benchmark's anchors, schedule (anchor #i responds after i * delay_step_s
+    seconds) and noise, shared by every draw: validated once, read-only."""
     anchors = AnchorSet(np.array(BENCHMARK_ANCHORS_M))
     m = anchors.count
     schedule = ResponseSchedule(delay_step_s * np.arange(1, m + 1))
@@ -205,6 +206,32 @@ def _benchmark_fixed(sigma_m: float, delay_step_s: float):
     for array in (anchors.positions, schedule.delays, noise.sigma_request):
         array.flags.writeable = False
     return anchors, schedule, noise
+
+
+# Generator.uniform(low, high) maps a raw double u to low + (high - low) * u: the
+# lows and spans of position (x, y), clock offset (s), drift (ppm) and speed (m/s)
+_STATE_LOW = np.array([-250.0, -250.0, -1.0, -10.0, 0.0])
+_STATE_SPAN = np.array([250.0, 250.0, 1.0, 10.0, 50.0]) - _STATE_LOW
+
+
+def direction(u) -> np.ndarray:
+    """Unit vectors at the angles Generator.uniform(0, 2*pi) draws as the raw
+    doubles u, on a new last axis."""
+    angle = 2.0 * np.pi * np.asarray(u)  # uniform's 0 + 2*pi*u: adding 0 changes no bit
+    out = np.empty(angle.shape + (2,))
+    np.cos(angle, out=out[..., 0])
+    np.sin(angle, out=out[..., 1])
+    return out
+
+
+def benchmark_states(u: np.ndarray, speed_mps: float | None = None):
+    """Device states of the benchmark distribution from raw U[0, 1) doubles, u
+    (..., 6) in benchmark_scenario's draw order, bit for bit: position and
+    velocity (..., 2), clock offset (...) in s and clock drift (...) in s/s."""
+    v = _STATE_LOW + _STATE_SPAN * u[..., :5]
+    speed = v[..., 4:] if speed_mps is None else float(speed_mps)
+    velocity = speed * direction(u[..., 5])
+    return v[..., :2], velocity, v[..., 2], ppm_to_drift(v[..., 3])
 
 
 def benchmark_scenario(
@@ -222,15 +249,9 @@ def benchmark_scenario(
 
     Draw order is fixed (position, offset, drift, speed, angle) so that
     scenarios with different fixed speeds share all other draws for a given
-    generator state.
+    generator state. This is benchmark_states on one row of six doubles.
     """
-    anchors, schedule, noise = _benchmark_fixed(sigma_m, delay_step_s)
-    position = rng.uniform(-250.0, 250.0, size=2)
-    clock_offset = rng.uniform(-1.0, 1.0)
-    clock_drift = ppm_to_drift(rng.uniform(-10.0, 10.0))
-    drawn_speed = rng.uniform(0.0, 50.0)
-    speed = drawn_speed if speed_mps is None else float(speed_mps)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    velocity = speed * np.array([np.cos(angle), np.sin(angle)])
-    ud = UdState(position, velocity, clock_offset, clock_drift)
+    anchors, schedule, noise = benchmark_parts(sigma_m, delay_step_s)
+    position, velocity, clock_offset, clock_drift = benchmark_states(rng.random(6), speed_mps)
+    ud = UdState(position, velocity, float(clock_offset), float(clock_drift))
     return Scenario(anchors=anchors, ud=ud, schedule=schedule, noise=noise)

@@ -202,6 +202,41 @@ class TestVerifyTheorems:
         assert out["two_way_equality_instances"] == 25
 
 
+class TestCountsAndSeeds:
+    @pytest.mark.parametrize(
+        "command,change",
+        [
+            ("verify-theorems", {"instances": 2.7}),
+            ("verify-theorems", {"seed": 3.9}),
+            ("verify-theorems", {"equal_delays": "no"}),
+            ("solve", {"seed": 3.9}),
+            ("solve", {"solver": {"max_iterations": 2.9}}),
+        ],
+        ids=lambda value: value if isinstance(value, str) else json.dumps(value),
+    )
+    def test_fractional_count_or_seed_and_non_bool_flag_are_config_errors(
+        self, tmp_path, capsys, command, change
+    ):
+        if command == "solve":
+            path, _ = write_scenario_config(tmp_path)
+            doc = {**json.loads(Path(path).read_text()), **change}
+        else:
+            doc = {"instances": 3, **change}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        argv = [command, str(config)] if command == "solve" else [command, "--config", str(config)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_whole_number_floats_are_counts_and_seeds(self, tmp_path, capsys):
+        config = tmp_path / "whole.json"
+        config.write_text(json.dumps({"instances": 3.0, "seed": 5.0, "equal_delays": True}))
+        assert main(["verify-theorems", "--config", str(config)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["instances"] == 3 and out["two_way_equality_instances"] == 3
+
+
 class TestExperiment:
     def test_config_run_writes_csv_and_manifest(self, tmp_path, capsys):
         doc = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -292,3 +293,34 @@ class TestBatchedForward:
         with pytest.raises(DegenerateGeometry) as exc:
             forward(anchors, np.full((3, 3), 0.01), position, np.zeros((3, 2)), 0.0, 0.0)
         assert exc.value.rows.tolist() == [False, True, False]
+
+
+def one_row_draw_digest(draws: int = 500) -> str:
+    """SHA-256 over seeded benchmark_scenario + generate draws: each draw's
+    truth, schedule, sigmas, measurements, weights and the generator's next
+    double (which pins how many variates the draw consumed)."""
+    sha = hashlib.sha256()
+    for i in range(draws):
+        sigma = (0.01, 5.0)[i % 2]
+        speed = (None, 30.0)[i // 2 % 2]
+        step = (0.010, 0.005)[i // 4 % 2]
+        rng = np.random.default_rng(1000 + i)
+        sc = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed, delay_step_s=step)
+        meas = generate(sc, rng)
+        ud = sc.ud
+        for array in (
+            ud.position, ud.velocity, np.array([ud.clock_offset, ud.clock_drift]),
+            sc.schedule.delays, sc.noise.sigma_request, np.array([sc.noise.sigma_response]),
+            meas.stacked, meas.weights, np.array([rng.random()]),
+        ):
+            sha.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return sha.hexdigest()
+
+
+# recorded when benchmark_scenario and generate drew through scalar uniform
+# and normal calls, before the Monte-Carlo block drew raw variates
+ONE_ROW_DRAW_GOLDEN = "d78216eac7961971a0a912f3f7d7f919ea14b0f21751cd0f3c4b928d595cda82"
+
+
+def test_one_row_draws_match_golden():
+    assert one_row_draw_digest() == ONE_ROW_DRAW_GOLDEN

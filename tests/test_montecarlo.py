@@ -8,8 +8,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from toaloc import montecarlo
-from toaloc.estimator import Mode
+from toaloc import analysis, montecarlo
+from toaloc.estimator import Mode, default_initial
+from toaloc.measurement import generate
 from toaloc.montecarlo import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from toaloc.montecarlo import (
     write_csv,
     write_manifest,
 )
+from toaloc.scenario import ResponseSchedule, Scenario, benchmark_scenario
 
 
 class TestDeriveSeed:
@@ -378,6 +380,104 @@ def test_run_trial_is_a_block_of_one():
     config = RECORD_GOLDENS["noise-sweep"][0]
     block = montecarlo._run_block(config, 1, range(10, 20))
     assert [untimed(r) for r in block] == [untimed(run_trial(config, 1, t)) for t in range(10, 20)]
+
+
+def one_trial_reference(config, sweep_index, trial_index):
+    """One trial drawn through the public one-trial API in the draw order
+    of the block runner: per label (mode, delays, observed, weights,
+    initial, solver velocity, assumed velocity or None), and the truth."""
+    value = config.sweep_values[sweep_index]
+    kind = config.kind
+    sigma = value if kind == "noise-sweep" else config.sigma_m
+    speed = value if kind in ("speed-sweep", "stationary-baseline") else None
+    radius = value if kind == "success-rate" else config.initial_radius_m
+    seed_sweep = 0 if kind == "iteration-profile" else sweep_index
+    rng = np.random.default_rng(derive_seed(config.base_seed, seed_sweep, trial_index))
+    sc = benchmark_scenario(rng, sigma_m=sigma, speed_mps=speed)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    start = sc.ud.position + radius * np.array([np.cos(angle), np.sin(angle)])
+
+    def label(mode, meas, velocity, assumed=None):
+        fitted = 4 if mode is Mode.ONE_WAY else 8
+        initial = default_initial(mode, start, meas).to_array()
+        velocity = np.zeros(2) if velocity is None else velocity
+        return (mode, meas.schedule.delays, meas.stacked[:fitted], meas.weights[:fitted],
+                initial, velocity, assumed)
+
+    if kind == "stationary-baseline":
+        labels = []
+        for step_ms in config.delay_step_ms:
+            schedule = ResponseSchedule(step_ms * 1e-3 * np.arange(1, 5))
+            meas = generate(Scenario(sc.anchors, sc.ud, schedule, sc.noise), rng)
+            labels.append(label(Mode.STATIONARY, meas, None, np.zeros(2)))
+            labels.append(label(Mode.KNOWN_VELOCITY, meas, sc.ud.velocity))
+        return sc, labels
+    meas = generate(sc, rng)
+    if kind == "velocity-mismatch":
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        assumed = sc.ud.velocity + value * np.array([np.cos(angle), np.sin(angle)])
+        return sc, [label(Mode.KNOWN_VELOCITY, meas, assumed, assumed)]
+    known = {Mode.KNOWN_VELOCITY: sc.ud.velocity}
+    return sc, [label(mode, meas, known.get(mode)) for mode in config.modes]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
+def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
+    # the block's solver inputs, truths and bias inputs, captured at the
+    # calls the block runner makes, against benchmark_scenario, the start
+    # angle and generate drawn trial by trial from the same streams
+    config, _ = RECORD_GOLDENS[name]
+    solves, crlbs, biases = [], [], []
+    real = (montecarlo.solve_batch, analysis.position_clock_crlb, analysis.velocity_mismatch_bias)
+
+    def solve_batch(mode, anchors, delays, observed, weights, initial, velocity, *rest):
+        solves.append((mode, anchors, delays, observed, weights, initial, velocity))
+        return real[0](mode, anchors, delays, observed, weights, initial, velocity, *rest)
+
+    def position_clock_crlb(mode, anchors, delays, truth, truth_velocity, weights):
+        crlbs.append((truth, truth_velocity))
+        return real[1](mode, anchors, delays, truth, truth_velocity, weights)
+
+    def velocity_mismatch_bias(anchors, ud, schedule, noise, assumed):
+        biases.append((ud.position, ud.velocity, schedule.delays, assumed))
+        return real[2](anchors, ud, schedule, noise, assumed)
+
+    monkeypatch.setattr(montecarlo, "solve_batch", solve_batch)
+    monkeypatch.setattr(analysis, "position_clock_crlb", position_clock_crlb)
+    monkeypatch.setattr(analysis, "velocity_mismatch_bias", velocity_mismatch_bias)
+    trials = range(5, 18)
+    montecarlo._run_block(config, 1, trials)
+    references = [one_trial_reference(config, 1, t) for t in trials]
+    assert len(solves) == len(crlbs) == len(references[0][1])
+    pending_biases = iter(biases)
+    for k, ((mode, anchors, delays, observed, weights, initial, velocity), (truth, truth_v)) in (
+        enumerate(zip(solves, crlbs))
+    ):
+        for row, (sc, labels) in enumerate(references):
+            ref_mode, ref_delays, ref_observed, ref_weights, ref_initial, ref_velocity, assumed = (
+                labels[k]
+            )
+            assert mode is ref_mode
+            assert same_bits(anchors[row], sc.anchors.positions)
+            assert same_bits(delays[row], ref_delays)
+            assert same_bits(observed[row], ref_observed)
+            assert same_bits(weights[row], ref_weights)
+            assert same_bits(initial[row], ref_initial)
+            assert same_bits(velocity[row], ref_velocity)
+            assert same_bits(truth[row], sc.ud.position)
+            assert same_bits(truth_v[row], sc.ud.velocity)
+            if assumed is not None:
+                bias_position, bias_velocity, bias_delays, bias_assumed = next(pending_biases)
+                assert same_bits(bias_position, sc.ud.position)
+                assert same_bits(bias_velocity, sc.ud.velocity)
+                assert same_bits(bias_delays, ref_delays)
+                assert same_bits(bias_assumed, assumed)
+    assert next(pending_biases, None) is None
 
 
 class RecordingPool:
