@@ -3,7 +3,10 @@ checks between estimator modes, and first-order bias/RMSE predictors for
 model-mismatch cases (stationary assumption, deviated velocity).
 
 All quantities are evaluated at the true parameter and carry range units
-(meters and meters-squared).
+(meters and meters-squared). ``check_theorems`` runs both accuracy-ordering
+checks on stacks of cases that share an anchor count, which is how
+``toaloc verify-theorems`` checks its instances: in chunks of
+``montecarlo.BLOCK``, with the output of one-at-a-time checks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Mode
-from .linalg import invert_spd, is_positive_semidefinite, solve_spd_rows
+from .linalg import invert_spd, psd_rows, solve_spd_rows
 from .measurement import forward, weight_vector
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState
 
@@ -103,6 +106,24 @@ def fim(
     )
 
 
+def _inverse_rows(a: np.ndarray, count: int | None = None) -> np.ndarray:
+    """invert_spd for each matrix of a (T, P, P) stack or, given ``count``, the
+    first count columns of each inverse unsymmetrized, with the bits the full
+    identity gives. Raises what invert_spd raises for the first bad row."""
+    p = a.shape[-1]
+    x, errors = solve_spd_rows(a, np.repeat(np.eye(p)[None, :, : count or p], len(a), axis=0))
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
+    return x if count else 0.5 * (x + x.swapaxes(-1, -2))
+
+
+def _crlb_rows(g: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """fim()'s first ``count`` CRLB diagonal entries for a stack of designs
+    (invert_spd's symmetrization leaves the diagonal as solved)."""
+    return _inverse_rows(_fisher(g, weights), count).diagonal(0, 1, 2)
+
+
 def position_clock_crlb(
     mode: Mode,
     anchors_m: np.ndarray,
@@ -120,15 +141,69 @@ def position_clock_crlb(
     entries read, with the bits the full identity gives. Raises as fim does
     when a row's F is singular or not finite.
     """
-    f = _fisher(_design_at_truth(mode, anchors_m, delays, positions, velocities), weights)
+    g = _design_at_truth(mode, anchors_m, delays, positions, velocities)
     n = positions.shape[-1]
-    columns = np.repeat(np.eye(f.shape[-1])[None, :, : n + 1], len(f), axis=0)
-    cov, errors = solve_spd_rows(f, columns)
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        raise error
-    crlb = cov.diagonal(0, 1, 2)  # invert_spd's symmetrization leaves the diagonal as solved
+    crlb = _crlb_rows(g, weights, n + 1)
     return np.sqrt(np.add.reduce(crlb[:, :n], axis=-1)), np.sqrt(crlb[:, n])
+
+
+def _stack(cases) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated-velocity designs at the truth and weighting diagonals of
+    (anchors, ud, schedule, noise) cases with one anchor count and dimension.
+    The known-velocity design is its first N+2 columns and the one-way
+    design the first N+1 of its request rows, bit for bit."""
+    anchors, uds, schedules, noises = zip(*cases)
+    g = _design_at_truth(
+        Mode.ESTIMATED_VELOCITY, np.array([a.positions for a in anchors]),
+        np.array([s.delays for s in schedules]), np.array([ud.position for ud in uds]),
+        np.array([ud.velocity for ud in uds]),
+    )
+    return g, np.array([weight_vector(noise) for noise in noises])
+
+
+def _known_velocity_rows(g, weights, crlb_kv, crlb_ev, tol) -> dict:
+    """check_known_velocity_advantage on a _stack, given both modes' CRLBs."""
+    m, n = weights.shape[-1] // 2, crlb_ev.shape[-1] - 1
+    margins = crlb_ev - crlb_kv
+    scale = np.maximum(np.abs(crlb_ev), np.abs(crlb_kv))
+    holds = np.all(margins > -tol * scale, axis=-1)
+
+    # mechanism: split the velocity columns out of the joint design matrix
+    w_tau = weights[:, m:, None]
+    g1_lam = g[:, m:, : n + 2]  # [G1, delay column]
+    l_block = g[:, m:, n + 2 :]  # velocity columns = -l_i * dt_i
+    b = g1_lam.swapaxes(-1, -2) @ (l_block * w_tau)
+    lwl = l_block.swapaxes(-1, -2) @ (l_block * w_tau)
+    mechanism_psd = psd_rows(b @ _inverse_rows(lwl) @ b.swapaxes(-1, -2), tol)
+    return {"holds": holds & mechanism_psd, "margins": margins, "mechanism_psd": mechanism_psd}
+
+
+def _two_way_rows(g, weights, crlb_ev, crlb_ow, tol) -> dict:
+    """check_two_way_advantage on a _stack, given both modes' CRLBs."""
+    m, n = weights.shape[-1] // 2, crlb_ev.shape[-1] - 1
+    margins = crlb_ow - crlb_ev
+    scale = np.maximum(np.abs(crlb_ow), np.abs(crlb_ev))
+    holds = np.all(margins >= -tol * scale, axis=-1)
+
+    w_tau = weights[:, m:, None]
+    g1 = g[:, m:, : n + 1]
+    g2 = g[:, m:, n + 1 :]
+    g1w = g1 * w_tau
+    g2w = g2 * w_tau
+    g1wg1 = g1w.swapaxes(-1, -2) @ g1
+    g2wg2_inv = _inverse_rows(g2.swapaxes(-1, -2) @ g2w)
+    d = g1wg1 - g1w.swapaxes(-1, -2) @ g2 @ g2wg2_inv @ g2w.swapaxes(-1, -2) @ g1
+    # D vanishes when the delays are equal; judge its eigenvalues against the
+    # scale of the matrices it is a difference of, not against D itself
+    d_psd = psd_rows(d, tol, scale=np.max(np.abs(g1wg1), axis=(1, 2)))
+    equality = np.all(np.abs(margins) <= tol * scale, axis=-1)
+    return {"holds": holds & d_psd, "margins": margins, "equality": equality, "d_matrix": d,
+            "d_psd": d_psd}
+
+
+def _row(out: dict, i: int) -> dict:
+    """Row i of a batched check's outputs, with its flags as bools."""
+    return {key: value[i] if value.ndim > 1 else bool(value[i]) for key, value in out.items()}
 
 
 def check_known_velocity_advantage(
@@ -144,29 +219,13 @@ def check_known_velocity_advantage(
     Returns the per-index margins (estimated-velocity CRLB minus
     known-velocity CRLB over the first N+1 diagonal entries) and also checks
     the underlying mechanism: the information lost to the velocity block,
-    B (L'W L)^-1 B', is positive semi-definite.
+    B (L'W L)^-1 B', is positive semi-definite. The one-row case of
+    check_theorems.
     """
+    g, w = _stack([(anchors, ud, schedule, noise)])
     n = anchors.n_dim
-    crlb_kv = fim(Mode.KNOWN_VELOCITY, anchors, ud, schedule, noise).crlb_diag
-    crlb_ev = fim(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule, noise).crlb_diag
-    margins = crlb_ev[: n + 1] - crlb_kv[: n + 1]
-    scale = np.maximum(np.abs(crlb_ev[: n + 1]), np.abs(crlb_kv[: n + 1]))
-    holds = bool(np.all(margins > -tol * scale))
-
-    # mechanism: split the velocity columns out of the joint design matrix
-    g_ev = _design_at_truth(
-        Mode.ESTIMATED_VELOCITY, anchors.positions, schedule.delays, ud.position, ud.velocity
-    )
-    m = anchors.count
-    w_tau = weight_vector(noise)[m:]
-    g1_lam = g_ev[m:, : n + 2]  # [G1, delay column]
-    l_block = g_ev[m:, n + 2 :]  # velocity columns = -l_i * dt_i
-    b = g1_lam.T @ (l_block * w_tau[:, None])
-    lwl = l_block.T @ (l_block * w_tau[:, None])
-    shed = b @ invert_spd(lwl) @ b.T
-    mechanism_psd = is_positive_semidefinite(shed, tol)
-
-    return {"holds": holds and mechanism_psd, "margins": margins, "mechanism_psd": mechanism_psd}
+    crlb_kv = _crlb_rows(g[..., : n + 2], w, n + 1)
+    return _row(_known_velocity_rows(g, w, crlb_kv, _crlb_rows(g, w, n + 1), tol), 0)
 
 
 def check_two_way_advantage(
@@ -181,36 +240,38 @@ def check_two_way_advantage(
 
     Margins are one-way CRLB minus joint CRLB over the first N+1 diagonal
     entries; they vanish when all response delays are equal. Also checks
-    that the response half's net information contribution D is PSD.
+    that the response half's net information contribution D is PSD. The
+    one-row case of check_theorems.
     """
-    n = anchors.n_dim
-    m = anchors.count
-    crlb_ev = fim(Mode.ESTIMATED_VELOCITY, anchors, ud, schedule, noise).crlb_diag
-    crlb_ow = fim(Mode.ONE_WAY, anchors, ud, schedule, noise).crlb_diag
-    margins = crlb_ow - crlb_ev[: n + 1]
-    scale = np.maximum(np.abs(crlb_ow), np.abs(crlb_ev[: n + 1]))
-    holds = bool(np.all(margins >= -tol * scale))
+    g, w = _stack([(anchors, ud, schedule, noise)])
+    n, m = anchors.n_dim, anchors.count
+    crlb_ev = _crlb_rows(g, w, n + 1)
+    return _row(_two_way_rows(g, w, crlb_ev, _crlb_rows(g[:, :m, : n + 1], w, n + 1), tol), 0)
 
-    g_ev = _design_at_truth(
-        Mode.ESTIMATED_VELOCITY, anchors.positions, schedule.delays, ud.position, ud.velocity
-    )
-    w_tau = weight_vector(noise)[m:]
-    g1 = g_ev[m:, : n + 1]
-    g2 = g_ev[m:, n + 1 :]
-    g1w = g1 * w_tau[:, None]
-    g2w = g2 * w_tau[:, None]
-    d = g1w.T @ g1 - g1w.T @ g2 @ invert_spd(g2.T @ g2w) @ g2w.T @ g1
-    # D vanishes when the delays are equal; judge its eigenvalues against the
-    # scale of the matrices it is a difference of, not against D itself
-    d_psd = is_positive_semidefinite(d, tol, scale=float(np.max(np.abs(g1w.T @ g1))))
 
-    return {
-        "holds": holds and d_psd,
-        "margins": margins,
-        "equality": bool(np.all(np.abs(margins) <= tol * scale)),
-        "d_matrix": d,
-        "d_psd": d_psd,
-    }
+def check_theorems(cases, tol: float = 1e-9) -> list[tuple[dict, dict]]:
+    """check_known_velocity_advantage and check_two_way_advantage of each
+    (anchors, ud, schedule, noise) case, in case order: the cases of one
+    anchor count and dimension form one stack, whose designs and Fisher
+    matrices both checks share. Raises what checking the cases one at a time
+    raises first (degenerate geometry, invalid sigma, singular matrix...).
+    """
+    groups: dict = {}
+    for i, (anchors, *_) in enumerate(cases):
+        groups.setdefault(anchors.positions.shape, []).append(i)
+    out: list = [None] * len(cases)
+    try:
+        for (m, n), rows in groups.items():
+            g, w = _stack([cases[i] for i in rows])
+            crlb_ev = _crlb_rows(g, w, n + 1)
+            kv = _known_velocity_rows(g, w, _crlb_rows(g[..., : n + 2], w, n + 1), crlb_ev, tol)
+            tw = _two_way_rows(g, w, crlb_ev, _crlb_rows(g[:, :m, : n + 1], w, n + 1), tol)
+            for j, i in enumerate(rows):
+                out[i] = (_row(kv, j), _row(tw, j))
+    except ValueError:  # stacks meet failing cases out of case order
+        return [(check_known_velocity_advantage(*case, tol=tol),
+                 check_two_way_advantage(*case, tol=tol)) for case in cases]
+    return out
 
 
 def velocity_mismatch_bias(

@@ -129,6 +129,14 @@ def _seed_override(seed) -> int | None:
         return None if seed is None else montecarlo.whole_number(seed, "seed")
 
 
+def _generator_seed(args, doc: dict) -> int:
+    """TOA_SEED, --seed, the config's seed or 0, for a generator: not negative."""
+    seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -168,7 +176,7 @@ def cmd_solve(args) -> int:
             raise ConfigError("config needs either 'measurements' or 'scenario'")
 
     if scenario is not None:
-        seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
+        seed = _generator_seed(args, doc)
         rng = np.random.default_rng(seed)
         measurements = generate(scenario, rng)
         if mode is Mode.KNOWN_VELOCITY and solver.known_velocity_mps is None:
@@ -253,7 +261,7 @@ def cmd_verify_theorems(args) -> int:
         instances = montecarlo.whole_number(instances, "instances")
     if instances < 1:
         raise ConfigError("instance count must be >= 1")
-    seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
+    seed = _generator_seed(args, doc)
     if type(doc.get("equal_delays", False)) is not bool:
         raise ConfigError(f"equal_delays must be true or false, got {doc['equal_delays']!r}")
     equal_delays = doc.get("equal_delays", False) or args.equal_delays
@@ -261,20 +269,20 @@ def cmd_verify_theorems(args) -> int:
 
     violations = []
     equalities = 0
-    for index in range(instances):
-        anchors, ud, schedule, noise = _random_geometry(rng, equal_delays)
-        kv = analysis.check_known_velocity_advantage(anchors, ud, schedule, noise)
-        tw = analysis.check_two_way_advantage(anchors, ud, schedule, noise)
-        if not kv["holds"] or not tw["holds"]:
-            violations.append(
-                {
-                    "instance": index,
-                    "known_velocity_margins": kv["margins"].tolist(),
-                    "two_way_margins": tw["margins"].tolist(),
-                }
-            )
-        if tw["equality"]:
-            equalities += 1
+    for start in range(0, instances, montecarlo.BLOCK):  # chunks bound the memory held
+        count = min(montecarlo.BLOCK, instances - start)
+        cases = [_random_geometry(rng, equal_delays) for _ in range(count)]
+        for index, (kv, tw) in enumerate(analysis.check_theorems(cases), start):
+            if not kv["holds"] or not tw["holds"]:
+                violations.append(
+                    {
+                        "instance": index,
+                        "known_velocity_margins": kv["margins"].tolist(),
+                        "two_way_margins": tw["margins"].tolist(),
+                    }
+                )
+            if tw["equality"]:
+                equalities += 1
 
     out = {
         "instances": instances,

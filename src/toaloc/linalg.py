@@ -3,8 +3,8 @@
 Everything here operates on plain float64 numpy arrays. The systems are
 tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
 a few dozen rows), so a call costs more in library dispatch than in
-arithmetic. ``solve_spd`` and ``solve_spd_rows`` therefore call LAPACK's
-``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor is C-ordered, so
+arithmetic. ``solve_spd_rows``, and ``solve_spd`` as its one-row case,
+therefore call LAPACK's ``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor is C-ordered, so
 its transpose is the Fortran-ordered upper factor LAPACK reads without a
 copy, and these are the exact calls ``scipy.linalg.solve_triangular`` makes,
 so results match it bit for bit. ``dpotrs``, ``np.linalg.solve`` and
@@ -44,21 +44,9 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising SingularMatrix on non-positive pivots."""
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from None
-    # numpy may succeed on barely positive matrices; enforce the pivot floor.
-    max_diag = float(a.diagonal().max()) if a.size else 0.0
-    if max_diag <= 0.0 or low.diagonal().min() ** 2 <= SINGULARITY_RTOL * max_diag:
-        raise SingularMatrix("pivot below singularity tolerance")
-    return low
-
-
 def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive-definite a.
+    """Solve a @ x = b for symmetric positive-definite a: the one-row case
+    of solve_spd_rows.
 
     b may be a vector or a matrix of right-hand sides. Raises
     SingularMatrix when the factorization encounters a non-positive pivot.
@@ -70,19 +58,19 @@ def solve_spd(a, b) -> np.ndarray:
         raise DimensionMismatch(f"a must be square, got shape {a.shape}")
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, expected {n}")
-    up = _cholesky(a).T
-    y, _ = dtrtrs(up, b, lower=0, trans=1)
-    x, info = dtrtrs(up, y, lower=0, trans=0)
-    if info != 0:
-        raise SingularMatrix(f"triangular solve failed (LAPACK info {info})")
-    return x
+    if n == 0:  # an empty matrix has no pivot to clear the floor
+        raise SingularMatrix("pivot below singularity tolerance")
+    x, errors = solve_spd_rows(a[None], b[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return x[0]
 
 
 def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     """Solve a[i] @ x[i] = b[i] for each matrix of a (T, P, P) stack.
 
-    A row that cannot be solved gets, in place of x[i], the exception
-    solve_spd raises for it in the returned list (None for a solved row).
+    A row that cannot be solved gets its exception, which solve_spd raises,
+    in the returned list (None for a solved row) in place of x[i].
     One batched Cholesky call factors the stack, and again one matrix at a
     time only when it fails; the triangular solves run per row, as no numpy
     substitution rounds like dtrtrs.
@@ -140,10 +128,15 @@ def is_positive_semidefinite(a, tol: float = 1e-12, scale: float | None = None) 
     a = _as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"a must be square, got shape {a.shape}")
-    sym = 0.5 * (a + a.T)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs.size == 0:
-        return True
+    return a.size == 0 or bool(psd_rows(a[None], tol, scale)[0])
+
+
+def psd_rows(a: np.ndarray, tol: float, scale=None) -> np.ndarray:
+    """is_positive_semidefinite for each matrix of a non-empty (T, P, P)
+    stack, with one ``scale`` per row or for all, by one eigvalsh call."""
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrix("a contains non-finite entries")
+    eigs = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))
     if scale is None:
-        scale = float(np.max(np.abs(eigs)))
-    return bool(eigs[0] >= -tol * scale)
+        scale = np.max(np.abs(eigs), axis=-1)
+    return eigs[:, 0] >= -tol * scale

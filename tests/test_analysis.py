@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from toaloc.analysis import (
     check_known_velocity_advantage,
+    check_theorems,
     check_two_way_advantage,
     fim,
     position_clock_crlb,
@@ -288,3 +290,71 @@ class TestPositionClockCrlb:
                 ud.position[None], ud.velocity[None], weight_vector(noise)[None],
             )
         assert str(batch.value) == str(single.value)
+
+
+def theorem_cases(count: int = 600):
+    """Seeded check inputs: 2-D with 4 to 8 anchors and 3-D with 5 to 8, equal
+    and distinct delays, uniform and per-anchor noise; every 97th case cannot
+    be checked (device on an anchor, collinear or coplanar anchors with the
+    device in their span, a zero sigma, or request sigmas whose weights overflow)."""
+    rng = np.random.default_rng(310)
+    for i in range(count):
+        n = 3 if i % 6 >= 4 else 2
+        m = int(rng.integers(4 + n - 2, 9))
+        anchors = rng.uniform(-400.0, 400.0, (m, n))
+        position = rng.uniform(-250.0, 250.0, n)
+        delays = np.full(m, 0.010) if i % 2 else np.sort(rng.uniform(0.002, 0.08, m))
+        if i % 3:
+            noise = NoiseSpec(rng.uniform(0.05, 2.0, m), float(rng.uniform(0.05, 2.0)))
+        else:
+            noise = NoiseSpec.uniform(float(rng.uniform(0.05, 2.0)), m)
+        fault = i // 97 % 4 if i % 97 == 96 else None
+        if fault == 0:
+            position = anchors[1].copy()
+        elif fault == 1:
+            anchors[:, -1] = 0.0
+            position[-1] = 0.0
+        elif fault == 2:
+            noise = NoiseSpec(np.r_[0.0, noise.sigma_request[1:]], noise.sigma_response)
+        elif fault == 3:
+            noise = NoiseSpec(np.full(m, 1e-200), noise.sigma_response)
+        ud = UdState(position, rng.uniform(-50.0, 50.0, n), float(rng.uniform(-1.0, 1.0)),
+                     float(rng.uniform(-1e-5, 1e-5)))
+        yield AnchorSet(anchors), ud, ResponseSchedule(delays), noise
+
+
+def check_bytes(check, case) -> bytes:
+    """Every output of one check call, or the exception it raised."""
+    try:
+        out = dict(check(*case))
+    except ValueError as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+    arrays = [out.pop("margins"), out.pop("d_matrix", np.zeros(0))]
+    return b"".join(a.tobytes() + repr(a.shape).encode() for a in arrays) + repr(out).encode()
+
+
+# SHA-256 over check_bytes of both public checks on the 600 theorem_cases,
+# recorded when each check built its own fim reports and designs one
+# geometry at a time.
+CHECK_GOLDEN = "1c23842dc671461b5609c927f9a70b14e1340d374d3743760af358fb9ea26b7c"
+
+
+def test_public_checks_match_golden():
+    sha = hashlib.sha256()
+    with np.errstate(divide="ignore", invalid="ignore"):  # the overflowing weights
+        for case in theorem_cases():
+            sha.update(check_bytes(check_known_velocity_advantage, case))
+            sha.update(check_bytes(check_two_way_advantage, case))
+    assert sha.hexdigest() == CHECK_GOLDEN
+
+
+def test_check_theorems_rows_equal_one_case_checks():
+    # one call over 2-D and 3-D cases of mixed anchor counts: each case must
+    # get, in case order, the bits of the two public checks on it alone
+    cases = [case for i, case in enumerate(theorem_cases(300)) if i % 97 != 96]
+    out = check_theorems(cases)
+    assert len(out) == len(cases)
+    assert len({case[0].positions.shape for case in cases}) == 9
+    for case, (kv, tw) in zip(cases, out):
+        assert check_bytes(lambda *_: kv, case) == check_bytes(check_known_velocity_advantage, case)
+        assert check_bytes(lambda *_: tw, case) == check_bytes(check_two_way_advantage, case)

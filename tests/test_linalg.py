@@ -70,6 +70,10 @@ class TestSolveSpd:
         with pytest.raises(NonFiniteMatrix):
             solve_spd(np.diag([1.0, np.nan]), np.ones(2))
 
+    def test_empty_matrix_is_singular(self):
+        with pytest.raises(SingularMatrix, match="pivot below singularity tolerance"):
+            solve_spd(np.zeros((0, 0)), np.zeros(0))
+
 
 class TestInvertSpd:
     def test_diagonal(self):
