@@ -3,10 +3,10 @@ checks between estimator modes, and first-order bias/RMSE predictors for
 model-mismatch cases (stationary assumption, deviated velocity).
 
 All quantities are evaluated at the true parameter and carry range units
-(meters and meters-squared). ``check_theorems`` runs both accuracy-ordering
-checks on stacks of cases that share an anchor count, which is how
-``toaloc verify-theorems`` checks its instances: in chunks of
-``montecarlo.BLOCK``, with the output of one-at-a-time checks.
+(meters and meters-squared). ``check_instances``, the core of both
+accuracy-ordering checks, reads plain arrays and stacks the instances that
+share an anchor shape, with the output of one-at-a-time checks; the public
+``check_*`` functions and ``check_theorems`` convert their dataclasses to it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .estimator import Mode
 from .linalg import invert_spd, psd_rows, solve_spd_rows
-from .measurement import forward, weight_vector
-from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState
+from .measurement import forward, weight_rows, weight_vector
+from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState, require_distinct
 
 
 @dataclass(frozen=True)
@@ -147,18 +147,21 @@ def position_clock_crlb(
     return np.sqrt(np.add.reduce(crlb[:, :n], axis=-1)), np.sqrt(crlb[:, n])
 
 
-def _stack(cases) -> tuple[np.ndarray, np.ndarray]:
+def _instance(anchors: AnchorSet, ud: UdState, schedule: ResponseSchedule, noise: NoiseSpec):
+    """A check's arguments as the plain arrays check_instances reads."""
+    return (anchors.positions, ud.position, ud.velocity, schedule.delays, noise.sigma_request,
+            noise.sigma_response)
+
+
+def _stack(instances) -> tuple[np.ndarray, np.ndarray]:
     """Estimated-velocity designs at the truth and weighting diagonals of
-    (anchors, ud, schedule, noise) cases with one anchor count and dimension.
-    The known-velocity design is its first N+2 columns and the one-way
-    design the first N+1 of its request rows, bit for bit."""
-    anchors, uds, schedules, noises = zip(*cases)
-    g = _design_at_truth(
-        Mode.ESTIMATED_VELOCITY, np.array([a.positions for a in anchors]),
-        np.array([s.delays for s in schedules]), np.array([ud.position for ud in uds]),
-        np.array([ud.velocity for ud in uds]),
-    )
-    return g, np.array([weight_vector(noise) for noise in noises])
+    instances with one anchor count and dimension. The known-velocity design
+    is its first N+2 columns and the one-way design the first N+1 of its
+    request rows, bit for bit."""
+    anchors, positions, velocities, delays, sigma_request, sigma_response = zip(*instances)
+    g = _design_at_truth(Mode.ESTIMATED_VELOCITY, np.array(anchors), np.array(delays),
+                         np.array(positions), np.array(velocities))
+    return g, weight_rows(np.array(sigma_request), sigma_response)
 
 
 def _known_velocity_rows(g, weights, crlb_kv, crlb_ev, tol) -> dict:
@@ -206,6 +209,17 @@ def _row(out: dict, i: int) -> dict:
     return {key: value[i] if value.ndim > 1 else bool(value[i]) for key, value in out.items()}
 
 
+def _check(instance, tol: float, two_way: bool) -> dict:
+    """One check of one instance, each step in the order of that check alone."""
+    g, w = _stack([instance])
+    m, n = instance[0].shape
+    if two_way:
+        crlb_ev = _crlb_rows(g, w, n + 1)
+        return _row(_two_way_rows(g, w, crlb_ev, _crlb_rows(g[:, :m, : n + 1], w, n + 1), tol), 0)
+    crlb_kv = _crlb_rows(g[..., : n + 2], w, n + 1)
+    return _row(_known_velocity_rows(g, w, crlb_kv, _crlb_rows(g, w, n + 1), tol), 0)
+
+
 def check_known_velocity_advantage(
     anchors: AnchorSet,
     ud: UdState,
@@ -220,12 +234,9 @@ def check_known_velocity_advantage(
     known-velocity CRLB over the first N+1 diagonal entries) and also checks
     the underlying mechanism: the information lost to the velocity block,
     B (L'W L)^-1 B', is positive semi-definite. The one-row case of
-    check_theorems.
+    check_instances.
     """
-    g, w = _stack([(anchors, ud, schedule, noise)])
-    n = anchors.n_dim
-    crlb_kv = _crlb_rows(g[..., : n + 2], w, n + 1)
-    return _row(_known_velocity_rows(g, w, crlb_kv, _crlb_rows(g, w, n + 1), tol), 0)
+    return _check(_instance(anchors, ud, schedule, noise), tol, two_way=False)
 
 
 def check_two_way_advantage(
@@ -241,37 +252,42 @@ def check_two_way_advantage(
     Margins are one-way CRLB minus joint CRLB over the first N+1 diagonal
     entries; they vanish when all response delays are equal. Also checks
     that the response half's net information contribution D is PSD. The
-    one-row case of check_theorems.
+    one-row case of check_instances.
     """
-    g, w = _stack([(anchors, ud, schedule, noise)])
-    n, m = anchors.n_dim, anchors.count
-    crlb_ev = _crlb_rows(g, w, n + 1)
-    return _row(_two_way_rows(g, w, crlb_ev, _crlb_rows(g[:, :m, : n + 1], w, n + 1), tol), 0)
+    return _check(_instance(anchors, ud, schedule, noise), tol, two_way=True)
 
 
-def check_theorems(cases, tol: float = 1e-9) -> list[tuple[dict, dict]]:
+def check_instances(instances, tol: float = 1e-9) -> list[tuple[dict, dict]]:
     """check_known_velocity_advantage and check_two_way_advantage of each
-    (anchors, ud, schedule, noise) case, in case order: the cases of one
-    anchor count and dimension form one stack, whose designs and Fisher
-    matrices both checks share. Raises what checking the cases one at a time
-    raises first (degenerate geometry, invalid sigma, singular matrix...).
+    instance, in order. An instance is plain arrays: anchors (M, N), device
+    position and velocity (N,), delays (M,), request sigmas (M,) and the
+    response sigma, a float. The instances of one anchor shape form one
+    stack, whose designs and Fisher matrices both checks share. Raises
+    require_distinct's error before any check, else what checking the
+    instances one at a time raises first (degenerate geometry, singular...).
     """
     groups: dict = {}
-    for i, (anchors, *_) in enumerate(cases):
-        groups.setdefault(anchors.positions.shape, []).append(i)
-    out: list = [None] * len(cases)
+    for i, instance in enumerate(instances):
+        groups.setdefault(instance[0].shape, []).append(i)
+    for rows in groups.values():
+        require_distinct(np.array([instances[i][0] for i in rows]))
+    out: list = [None] * len(instances)
     try:
         for (m, n), rows in groups.items():
-            g, w = _stack([cases[i] for i in rows])
+            g, w = _stack([instances[i] for i in rows])
             crlb_ev = _crlb_rows(g, w, n + 1)
             kv = _known_velocity_rows(g, w, _crlb_rows(g[..., : n + 2], w, n + 1), crlb_ev, tol)
             tw = _two_way_rows(g, w, crlb_ev, _crlb_rows(g[:, :m, : n + 1], w, n + 1), tol)
             for j, i in enumerate(rows):
                 out[i] = (_row(kv, j), _row(tw, j))
-    except ValueError:  # stacks meet failing cases out of case order
-        return [(check_known_velocity_advantage(*case, tol=tol),
-                 check_two_way_advantage(*case, tol=tol)) for case in cases]
+    except ValueError:  # stacks meet failing instances out of instance order
+        return [(_check(x, tol, False), _check(x, tol, True)) for x in instances]
     return out
+
+
+def check_theorems(cases, tol: float = 1e-9) -> list[tuple[dict, dict]]:
+    """check_instances on (anchors, ud, schedule, noise) cases."""
+    return check_instances([_instance(*case) for case in cases], tol)
 
 
 def velocity_mismatch_bias(

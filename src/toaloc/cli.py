@@ -32,7 +32,7 @@ from .estimator import default_initial, solve
 from .linalg import DimensionMismatch, SingularMatrix
 from .measurement import DegenerateGeometry, InvalidMeasurements, InvalidNoise
 from .measurement import ToaMeasurementSet, generate
-from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario, UdState, direction
+from .scenario import AnchorSet, Scenario, direction
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,6 +132,8 @@ def _seed_override(seed) -> int | None:
 def _generator_seed(args, doc: dict) -> int:
     """TOA_SEED, --seed, the config's seed or 0, for a generator: not negative."""
     seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
+    if seed is None:  # the config's "seed": null
+        raise ConfigError("invalid config: seed must be a whole number, got None")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -271,8 +273,8 @@ def cmd_verify_theorems(args) -> int:
     equalities = 0
     for start in range(0, instances, montecarlo.BLOCK):  # chunks bound the memory held
         count = min(montecarlo.BLOCK, instances - start)
-        cases = [_random_geometry(rng, equal_delays) for _ in range(count)]
-        for index, (kv, tw) in enumerate(analysis.check_theorems(cases), start):
+        chunk = [_random_geometry(rng, equal_delays) for _ in range(count)]
+        for index, (kv, tw) in enumerate(analysis.check_instances(chunk), start):
             if not kv["holds"] or not tw["holds"]:
                 violations.append(
                     {
@@ -294,21 +296,29 @@ def cmd_verify_theorems(args) -> int:
     return EXIT_OK if not violations else EXIT_NOT_CONVERGED
 
 
+# Generator.uniform(low, high) maps a raw double u to low + (high - low) * u: the
+# lows and spans of anchor coordinates (8 anchors at most), position and
+# velocity in draw order; an instance of m anchors maps the last 2m + 4
+_LOW = np.r_[np.full(16, -400.0), -250.0, -250.0, -50.0, -50.0]
+_SPAN = np.r_[np.full(16, 400.0), 250.0, 250.0, 50.0, 50.0] - _LOW
+# read-only equal and stepped delays and request sigmas; an instance takes m
+_DELAYS = {True: np.full(8, 0.010), False: 0.010 * np.arange(1, 9)}
+_SIGMA = np.full(8, 0.1)
+for _array in (*_DELAYS.values(), _SIGMA):
+    _array.flags.writeable = False
+
+
 def _random_geometry(rng: np.random.Generator, equal_delays: bool):
-    """Random non-degenerate 2D instance: 4..8 anchors, device in the hull area."""
+    """Random non-degenerate 2D instance of analysis.check_instances: 4..8
+    anchors, device in the hull area. Two generator calls: the anchor count,
+    then the 2m + 6 raw doubles the five Generator.uniform calls of anchors,
+    position, velocity, clock offset and drift would take (the last two are
+    drawn to keep the stream; nothing reads them)."""
     m = int(rng.integers(4, 9))
-    anchors = AnchorSet(rng.uniform(-400.0, 400.0, size=(m, 2)))
-    ud = UdState(
-        position=rng.uniform(-250.0, 250.0, size=2),
-        velocity=rng.uniform(-50.0, 50.0, size=2),
-        clock_offset=rng.uniform(-1.0, 1.0),
-        clock_drift=rng.uniform(-10e-6, 10e-6),
-    )
-    if equal_delays:
-        delays = np.full(m, 0.010)
-    else:
-        delays = 0.010 * np.arange(1, m + 1)
-    return anchors, ud, ResponseSchedule(delays), NoiseSpec.uniform(0.1, m)
+    k = 16 - 2 * m
+    v = _LOW[k:] + _SPAN[k:] * rng.random(2 * m + 6)[: 2 * m + 4]
+    return (v[: 2 * m].reshape(m, 2), v[2 * m : 2 * m + 2], v[2 * m + 2 :],
+            _DELAYS[equal_delays][:m], _SIGMA[:m], 0.1)
 
 
 def cmd_experiment(args) -> int:

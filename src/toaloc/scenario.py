@@ -33,6 +33,15 @@ def ppm_to_drift(ppm: float) -> float:
     return ppm * 1e-6
 
 
+def require_distinct(anchors: np.ndarray) -> None:
+    """Raise ValueError("two anchors coincide") when any set of anchors in a
+    (..., M, N) stack holds two at zero distance."""
+    first, second = np.triu_indices(anchors.shape[-2], 1)
+    d = anchors[..., first, :] - anchors[..., second, :]
+    if (np.add.reduce(d * d, axis=-1) == 0.0).any():  # a zero np.linalg.norm
+        raise ValueError("two anchors coincide")
+
+
 @dataclass(frozen=True)
 class AnchorSet:
     """Known anchor positions, shape (M, N) with N in {2, 3}."""
@@ -41,15 +50,11 @@ class AnchorSet:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] not in (2, 3):
+        if pos.ndim != 2 or pos.shape[1] not in (2, 3) or not pos.size:
             raise ValueError(f"anchor positions must be (M, 2) or (M, 3), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("anchor positions must be finite")
-        diffs = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diffs, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        if np.min(dist) == 0.0:
-            raise ValueError("two anchors coincide")
+        require_distinct(pos)
         object.__setattr__(self, "positions", pos)
 
     @property

@@ -8,7 +8,7 @@ import pytest
 
 from toaloc import cli
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
-from toaloc.scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState, benchmark_scenario
+from toaloc.scenario import benchmark_scenario
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "noisefree.json")
 
@@ -162,6 +162,18 @@ class TestCrlb:
             < out["one-way"]["position_crlb_rss_m"]
         )
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_response_sigma_without_float_weight_is_config_error(self, tmp_path, capsys, sigma):
+        config, _ = write_scenario_config(tmp_path)
+        scenario = json.loads(Path(config).read_text())["scenario"]
+        scenario["noise_m"]["response"] = sigma
+        path = tmp_path / "crlb.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        assert main(["crlb", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: response sigma out of range for weighting\n"
+
 
 class TestPredictBias:
     def test_stationary_default(self, tmp_path, capsys):
@@ -211,7 +223,9 @@ class TestCountsAndSeeds:
             ("verify-theorems", {"instances": 2.7}),
             ("verify-theorems", {"seed": 3.9}),
             ("verify-theorems", {"equal_delays": "no"}),
+            ("verify-theorems", {"seed": None}),
             ("solve", {"seed": 3.9}),
+            ("solve", {"seed": None}),
             ("solve", {"solver": {"max_iterations": 2.9}}),
         ],
         ids=lambda value: value if isinstance(value, str) else json.dumps(value),
@@ -335,22 +349,69 @@ def verify_digest(capsys, runs) -> tuple[str, set]:
 
 
 def fixed_geometry(m, fault=None):
-    """A 2-D instance with m anchors on a circle. ``fault`` puts the device on
-    an anchor, the anchors and device on one line, a zero request sigma, or
-    request sigmas whose weights overflow."""
+    """A 2-D instance of analysis.check_instances with m anchors on a circle.
+    ``fault`` puts the device on an anchor, the anchors and device on one
+    line, a zero request sigma, request sigmas whose weights overflow, or
+    the second anchor on the first."""
     angles = 2.0 * np.pi * np.arange(m) / m
     anchors = 300.0 * np.c_[np.cos(angles), np.sin(angles)]
-    position, noise = np.array([10.0, 20.0]), NoiseSpec.uniform(0.1, m)
+    position, sigma = np.array([10.0, 20.0]), np.full(m, 0.1)
     if fault == "degenerate":
         position = anchors[0].copy()
     elif fault == "singular":
         anchors, position = np.c_[np.linspace(-300.0, 300.0, m), np.zeros(m)], np.array([10.0, 0.0])
     elif fault == "zero-sigma":
-        noise = NoiseSpec(np.r_[0.0, np.full(m - 1, 0.1)], 0.1)
+        sigma = np.r_[0.0, np.full(m - 1, 0.1)]
     elif fault == "overflow":
-        noise = NoiseSpec(np.full(m, 1e-200), 0.1)
-    ud = UdState(position, np.array([5.0, -3.0]), 1e-7, 2e-6)
-    return AnchorSet(anchors), ud, ResponseSchedule(0.01 * np.arange(1, m + 1)), noise
+        sigma = np.full(m, 1e-200)
+    elif fault == "coincident":
+        anchors[1] = anchors[0]
+    return anchors, position, np.array([5.0, -3.0]), 0.01 * np.arange(1, m + 1), sigma, 0.1
+
+
+def uniform_draw(rng):
+    """The anchors, position and velocity of one instance from one
+    Generator.integers call and five Generator.uniform calls: the reference
+    that cli._random_geometry's raw-double draw must equal."""
+    m = int(rng.integers(4, 9))
+    anchors = rng.uniform(-400.0, 400.0, size=(m, 2))
+    position = rng.uniform(-250.0, 250.0, size=2)
+    velocity = rng.uniform(-50.0, 50.0, size=2)
+    rng.uniform(-1.0, 1.0)  # clock offset, s
+    rng.uniform(-10e-6, 10e-6)  # clock drift
+    return anchors, position, velocity
+
+
+def chunk_fields(chunk):
+    """Each array field of a chunk's instances as its shapes, dtypes and
+    bytes, and the response sigmas with their types."""
+    *arrays, responses = zip(*chunk)
+    fields = [([x.shape for x in c], {x.dtype for x in c}, np.concatenate(c).tobytes())
+              for c in arrays]
+    return fields, [(type(r), r) for r in responses]
+
+
+class TestRandomGeometryDraw:
+    def test_equals_uniform_draws_bit_for_bit(self):
+        # chunks of 1, 127, 128 and 129 instances from each seed, with equal
+        # and stepped delays; after each chunk every generator must give the
+        # same next double. The delays and request sigmas each reference
+        # instance gets:
+        fixed = {
+            (flag, m): (np.full(m, 0.010) if flag else 0.010 * np.arange(1, m + 1), np.full(m, 0.1))
+            for flag in (False, True) for m in range(4, 9)
+        }
+        for seed in range(200):
+            old = np.random.default_rng(seed)
+            new = {flag: np.random.default_rng(seed) for flag in (False, True)}
+            for count in (1, 127, 128, 129):
+                expected = [uniform_draw(old) for _ in range(count)]
+                for flag, rng in new.items():
+                    drawn = [cli._random_geometry(rng, flag) for _ in range(count)]
+                    reference = [(*xs, *fixed[flag, len(xs[0])], 0.1) for xs in expected]
+                    assert chunk_fields(drawn) == chunk_fields(reference), (seed, count, flag)
+                after = old.random()
+                assert [rng.random() for rng in new.values()] == [after, after], (seed, count)
 
 
 class TestVerifyTheoremsGolden:
@@ -384,9 +445,8 @@ class TestVerifyTheoremsGolden:
         draw = cli._random_geometry
 
         def stiff(rng, equal_delays):
-            anchors, ud, schedule, noise = draw(rng, equal_delays)
-            sigma = float(10.0 ** rng.uniform(-4.0, -3.0))
-            return anchors, ud, schedule, NoiseSpec(noise.sigma_request, sigma)
+            *arrays, _ = draw(rng, equal_delays)
+            return (*arrays, float(10.0 ** rng.uniform(-4.0, -3.0)))
 
         monkeypatch.setattr(cli, "_random_geometry", stiff)
         runs = [
@@ -423,6 +483,14 @@ class TestVerifyTheoremsGolden:
         ),
         "overflow-at-2": (
             6, {2: (7, "overflow")}, ("NonFiniteMatrix", "a contains non-finite entries")
+        ),
+        # coincident anchors fail the whole chunk before any of its instances
+        # is checked, as when each drawn instance built an AnchorSet
+        "coincident-after-degenerate-in-chunk": (
+            8, {2: (6, "degenerate"), 5: (5, "coincident")}, ("ValueError", "two anchors coincide")
+        ),
+        "coincident-in-second-chunk": (
+            140, {3: (6, "degenerate"), 130: (5, "coincident")}, (EXIT_CONFIG, DEGENERATE)
         ),
     }
 

@@ -11,6 +11,7 @@ from toaloc.measurement import (
     ToaMeasurementSet,
     forward,
     generate,
+    weight_rows,
     weight_vector,
 )
 from toaloc.scenario import (
@@ -104,6 +105,36 @@ class TestBuildWeights:
     def test_zero_sigma_rejected(self):
         with pytest.raises(InvalidNoise):
             weight_vector(NoiseSpec(np.array([0.0, 1.0]), 1.0))
+
+    @pytest.mark.parametrize("sigma", [1e-163, 1e-200, 1e200])
+    def test_response_sigma_without_float_weight_is_invalid_noise(self, sigma):
+        # the float square of the first two underflows to zero, of the last overflows
+        with pytest.raises(InvalidNoise, match="response sigma out of range"):
+            weight_vector(NoiseSpec(np.ones(3), sigma))
+
+    def test_tiny_request_sigmas_still_give_infinite_weights(self):
+        with np.errstate(divide="ignore"):
+            w = weight_vector(NoiseSpec(np.full(3, 1e-200), 1.0))
+        assert np.isinf(w[:3]).all() and np.array_equal(w[3:], np.ones(3))
+
+    def test_rows_have_the_bits_of_one_spec_at_a_time(self):
+        # numpy's array square differs from the float pow on about 0.08% of
+        # doubles; the response weights must be the float pow's
+        rng = np.random.default_rng(5)
+        request, response = rng.uniform(0.01, 5.0, (20000, 5)), rng.uniform(0.01, 5.0, 20000)
+        rows = weight_rows(request, response.tolist())
+        one_at_a_time = [weight_vector(NoiseSpec(s, r)) for s, r in zip(request, response.tolist())]
+        float_pow_formula = np.c_[1.0 / request**2, [[1.0 / r**2] * 5 for r in response.tolist()]]
+        assert rows.tobytes() == np.array(one_at_a_time).tobytes() == float_pow_formula.tobytes()
+        assert not np.array_equal(rows[:, 5], 1.0 / response**2)
+
+    def test_rows_raise_for_any_bad_row(self):
+        request = np.full((3, 4), 0.1)
+        request[2, 1] = 0.0
+        with pytest.raises(InvalidNoise, match="strictly positive"):
+            weight_rows(request, [0.1, 0.1, 0.1])
+        with pytest.raises(InvalidNoise, match="out of range"):
+            weight_rows(np.full((3, 4), 0.1), [0.1, 1e-200, 0.1])
 
     def test_diagonal_positive_for_random_specs(self):
         rng = np.random.default_rng(1)
