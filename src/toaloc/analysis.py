@@ -5,8 +5,9 @@ model-mismatch cases (stationary assumption, deviated velocity).
 All quantities are evaluated at the true parameter and carry range units
 (meters and meters-squared). ``check_instances``, the core of both
 accuracy-ordering checks, reads plain arrays and stacks the instances that
-share an anchor shape, with the output of one-at-a-time checks; the public
-``check_*`` functions and ``check_theorems`` convert their dataclasses to it.
+share an anchor shape, with the output of one-at-a-time checks; the two
+public ``check_*_advantage`` functions convert their dataclasses to it.
+Stacked inverses come from ``linalg.invert_spd_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Mode
-from .linalg import invert_spd, psd_rows, solve_spd_rows
+from .linalg import invert_spd, invert_spd_rows, psd_rows
 from .measurement import forward, weight_rows, weight_vector
 from .scenario import AnchorSet, NoiseSpec, ResponseSchedule, UdState, require_distinct
 
@@ -106,22 +107,10 @@ def fim(
     )
 
 
-def _inverse_rows(a: np.ndarray, count: int | None = None) -> np.ndarray:
-    """invert_spd for each matrix of a (T, P, P) stack or, given ``count``, the
-    first count columns of each inverse unsymmetrized, with the bits the full
-    identity gives. Raises what invert_spd raises for the first bad row."""
-    p = a.shape[-1]
-    x, errors = solve_spd_rows(a, np.repeat(np.eye(p)[None, :, : count or p], len(a), axis=0))
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        raise error
-    return x if count else 0.5 * (x + x.swapaxes(-1, -2))
-
-
 def _crlb_rows(g: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """fim()'s first ``count`` CRLB diagonal entries for a stack of designs
     (invert_spd's symmetrization leaves the diagonal as solved)."""
-    return _inverse_rows(_fisher(g, weights), count).diagonal(0, 1, 2)
+    return invert_spd_rows(_fisher(g, weights), count).diagonal(0, 1, 2)
 
 
 def position_clock_crlb(
@@ -177,7 +166,7 @@ def _known_velocity_rows(g, weights, crlb_kv, crlb_ev, tol) -> dict:
     l_block = g[:, m:, n + 2 :]  # velocity columns = -l_i * dt_i
     b = g1_lam.swapaxes(-1, -2) @ (l_block * w_tau)
     lwl = l_block.swapaxes(-1, -2) @ (l_block * w_tau)
-    mechanism_psd = psd_rows(b @ _inverse_rows(lwl) @ b.swapaxes(-1, -2), tol)
+    mechanism_psd = psd_rows(b @ invert_spd_rows(lwl) @ b.swapaxes(-1, -2), tol)
     return {"holds": holds & mechanism_psd, "margins": margins, "mechanism_psd": mechanism_psd}
 
 
@@ -194,7 +183,7 @@ def _two_way_rows(g, weights, crlb_ev, crlb_ow, tol) -> dict:
     g1w = g1 * w_tau
     g2w = g2 * w_tau
     g1wg1 = g1w.swapaxes(-1, -2) @ g1
-    g2wg2_inv = _inverse_rows(g2.swapaxes(-1, -2) @ g2w)
+    g2wg2_inv = invert_spd_rows(g2.swapaxes(-1, -2) @ g2w)
     d = g1wg1 - g1w.swapaxes(-1, -2) @ g2 @ g2wg2_inv @ g2w.swapaxes(-1, -2) @ g1
     # D vanishes when the delays are equal; judge its eigenvalues against the
     # scale of the matrices it is a difference of, not against D itself
@@ -283,11 +272,6 @@ def check_instances(instances, tol: float = 1e-9) -> list[tuple[dict, dict]]:
     except ValueError:  # stacks meet failing instances out of instance order
         return [(_check(x, tol, False), _check(x, tol, True)) for x in instances]
     return out
-
-
-def check_theorems(cases, tol: float = 1e-9) -> list[tuple[dict, dict]]:
-    """check_instances on (anchors, ud, schedule, noise) cases."""
-    return check_instances([_instance(*case) for case in cases], tol)
 
 
 def velocity_mismatch_bias(

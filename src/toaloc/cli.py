@@ -155,6 +155,8 @@ def _require(doc: dict, key: str):
 
 def _solver_from(doc: dict) -> SolverConfig:
     solver = doc.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError(f"solver must be an object, got {solver!r}")
     return SolverConfig(
         max_iterations=montecarlo.whole_number(solver.get("max_iterations", 10), "max_iterations"),
         convergence_threshold_m=solver.get("convergence_threshold_m"),
@@ -246,12 +248,15 @@ def cmd_predict_bias(args) -> int:
     doc = _load_config(args.config)
     with _reading():
         scenario = Scenario.from_dict(_require(doc, "scenario"))
-        assumed = np.asarray(
-            doc.get("assumed_velocity_mps", np.zeros(scenario.anchors.n_dim)), dtype=float
-        )
+        n = scenario.anchors.n_dim
+        assumed = np.asarray(doc.get("assumed_velocity_mps", np.zeros(n)), dtype=float)
+        if assumed.shape != (n,) or not np.isfinite(assumed).all():
+            raise ConfigError(f"assumed_velocity_mps must be {n} finite numbers")
     report = analysis.velocity_mismatch_bias(
         scenario.anchors, scenario.ud, scenario.schedule, scenario.noise, assumed
     )
+    if not np.isfinite(report.predicted_rmse_total):  # a NaN or inf anywhere reaches it
+        raise ConfigError("scenario out of float range for the bias prediction")
     _emit(report.to_json(), args.output)
     return EXIT_OK
 
@@ -409,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # out-of-range input fails as an error or report
+            return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

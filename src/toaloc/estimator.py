@@ -421,10 +421,11 @@ def solve(
     if mode is Mode.KNOWN_VELOCITY and config.known_velocity_mps is None:
         raise MissingKnownVelocity("known-velocity mode requires known_velocity_mps")
     velocity = _resolve_velocity(initial, config.known_velocity_mps)
-    if (measurements.count, anchors.n_dim, np.shape(velocity)) != (m, n, (n,)):
+    shapes = (initial.position.shape, np.shape(velocity))
+    if (measurements.count, anchors.n_dim, shapes) != (m, n, ((n,), (n,))):
         raise DimensionMismatch(
             f"{measurements.count} measurements for {m} anchors in {anchors.n_dim}-D, "
-            f"a {n}-D iterate and a velocity of shape {np.shape(velocity)}"
+            f"an iterate and a velocity of shapes {shapes[0]} and {shapes[1]}"
         )
     n_meas = m if mode is Mode.ONE_WAY else 2 * m
     if n_meas < mode.param_dim(n):

@@ -4,11 +4,12 @@ Everything here operates on plain float64 numpy arrays. The systems are
 tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
 a few dozen rows), so a call costs more in library dispatch than in
 arithmetic. ``solve_spd_rows``, and ``solve_spd`` as its one-row case,
-therefore call LAPACK's ``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor is C-ordered, so
-its transpose is the Fortran-ordered upper factor LAPACK reads without a
-copy, and these are the exact calls ``scipy.linalg.solve_triangular`` makes,
-so results match it bit for bit. ``dpotrs``, ``np.linalg.solve`` and
+therefore call LAPACK's ``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor
+is C-ordered, so its transpose is the Fortran-ordered upper factor LAPACK reads
+without a copy, and these are the exact calls ``scipy.linalg.solve_triangular``
+makes, so results match it bit for bit. ``dpotrs``, ``np.linalg.solve`` and
 scipy's ``dpotrf`` round differently and would change the solver's outputs.
+``invert_spd_rows`` and its one-row case ``invert_spd`` solve against identities.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return a
@@ -54,8 +57,6 @@ def solve_spd(a, b) -> np.ndarray:
     a = _as_matrix(a, "a")
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise DimensionMismatch(f"a must be square, got shape {a.shape}")
     if b.shape[0] != n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, expected {n}")
     if n == 0:  # an empty matrix has no pivot to clear the floor
@@ -109,31 +110,33 @@ def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     return x, errors
 
 
-def invert_spd(a) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via solve_spd."""
-    a = _as_matrix(a, "a")
-    inv = solve_spd(a, np.eye(a.shape[0]))
+def invert_spd_rows(a: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Inverse of each symmetric positive-definite matrix of a (T, P, P) stack
+    or, given ``count``, the first count columns of each inverse unsymmetrized,
+    with the bits the full identity gives. Raises what solve_spd raises for
+    the first bad row."""
+    p = a.shape[-1]
+    x, errors = solve_spd_rows(a, np.repeat(np.eye(p)[None, :, : count or p], len(a), axis=0))
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
     # symmetrize to kill factorization round-off
-    return 0.5 * (inv + inv.T)
+    return x if count else 0.5 * (x + x.swapaxes(-1, -2))
 
 
-def is_positive_semidefinite(a, tol: float = 1e-12, scale: float | None = None) -> bool:
-    """True iff the symmetrized input has smallest eigenvalue >= -tol * scale.
-
-    ``scale`` defaults to the largest eigenvalue magnitude of the input.
-    Pass it explicitly when the input is a difference of much larger
-    matrices, whose cancellation round-off lives at the scale of the
-    operands rather than of the result.
-    """
+def invert_spd(a) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix: invert_spd_rows on one."""
     a = _as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"a must be square, got shape {a.shape}")
-    return a.size == 0 or bool(psd_rows(a[None], tol, scale)[0])
+    if a.size == 0:  # an empty matrix has no pivot to clear the floor
+        raise SingularMatrix("pivot below singularity tolerance")
+    return invert_spd_rows(a[None])[0]
 
 
 def psd_rows(a: np.ndarray, tol: float, scale=None) -> np.ndarray:
-    """is_positive_semidefinite for each matrix of a non-empty (T, P, P)
-    stack, with one ``scale`` per row or for all, by one eigvalsh call."""
+    """Whether each symmetrized matrix of a non-empty (T, P, P) stack has its smallest
+    eigenvalue >= -tol * scale (one eigvalsh call). ``scale``, per row or for all,
+    defaults to each row's largest eigenvalue magnitude; pass it when the input is a
+    difference of much larger matrices, whose round-off lives at their scale."""
     if not np.isfinite(a).all():
         raise NonFiniteMatrix("a contains non-finite entries")
     eigs = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2)))

@@ -38,7 +38,7 @@ class DegenerateGeometry(ValueError):
 
 
 class InvalidNoise(ValueError):
-    """Noise unusable for weighting: a sigma not positive, or a response weight not a float."""
+    """Noise unusable for weighting: a sigma not positive, or a weight not a finite float."""
 
 
 class InvalidMeasurements(ValueError):
@@ -173,17 +173,21 @@ def forward(
 def weight_rows(sigma_request: np.ndarray, sigma_response) -> np.ndarray:
     """weight_vector of T rows: request sigmas (T, M) and T response sigmas.
     The response weight is the float 1.0 / s**2, not numpy's array square
-    (the two differ on 0.08% of doubles); a response sigma whose weight is
-    not a float raises InvalidNoise too."""
+    (the two differ on 0.08% of doubles); a sigma whose weight is not a
+    positive finite float raises InvalidNoise too."""
     sigma_response = [float(s) for s in sigma_response]
     if np.count_nonzero(sigma_request <= 0.0) or any(s <= 0.0 for s in sigma_response):
         raise InvalidNoise("weighting requires strictly positive sigmas")
+    with np.errstate(over="ignore", divide="ignore"):  # the square overflows or underflows
+        request = 1.0 / sigma_request**2
+    if not np.logical_and(request > 0.0, request < np.inf).all():
+        raise InvalidNoise("request sigma out of range for weighting")
     try:
         response = np.array([[1.0 / s**2] for s in sigma_response])
     except ArithmeticError:  # the square underflows to zero or overflows
         raise InvalidNoise("response sigma out of range for weighting") from None
     m = sigma_request.shape[-1]
-    return np.concatenate([1.0 / sigma_request**2, response.repeat(m, axis=1)], axis=1)
+    return np.concatenate([request, response.repeat(m, axis=1)], axis=1)
 
 
 def weight_vector(noise: NoiseSpec) -> np.ndarray:

@@ -374,39 +374,29 @@ def aggregate(
     )
 
 
-def _block_batch(args) -> list[list[list[TrialRecord]]]:
-    config, points, start, stop, block = args
-    return [
-        [_run_block(config, i, range(first, min(first + block, stop))) for i in points]
-        for first in range(start, stop, block)
-    ]
-
-
 def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
     """Trial records at each sweep point of ``points``, in trial-index order.
 
-    Trials run in blocks of at most BLOCK, in-process or in pool chunks of
-    whole blocks; each block runs its points back to back. The records do
-    not depend on ``jobs`` or on the block size."""
-    blocks = -(-config.trials // BLOCK)
-    chunk = BLOCK * max(1, blocks // (config.jobs * 8))
-    batches = [
-        (config, points, start, min(start + chunk, config.trials), BLOCK)
-        for start in range(0, config.trials, chunk)
-    ]
+    Trials run in blocks of at most BLOCK, one _run_block call per (block,
+    point) item in block-major order, in-process or in pool chunks, about 8
+    per worker. A chunk holds whole blocks, so each block runs its points
+    back to back. The records do not depend on ``jobs`` or on the block size."""
+    blocks = [range(first, min(first + BLOCK, config.trials))
+              for first in range(0, config.trials, BLOCK)]
+    items = ([config] * (len(blocks) * len(points)), [i for _ in blocks for i in points],
+             [block for block in blocks for _ in points])
     if config.jobs == 1:
-        results = map(_block_batch, batches)
+        results = map(_run_block, *items)
     else:
         from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
 
-        workers = min(config.jobs, len(batches), os.cpu_count() or 1)
+        per_chunk = max(1, len(blocks) // (config.jobs * 8))
+        workers = min(config.jobs, -(-len(blocks) // per_chunk), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_batch, batches))
+            results = list(pool.map(_run_block, *items, chunksize=per_chunk * len(points)))
     per_point: list[list[TrialRecord]] = [[] for _ in points]
-    for batch in results:
-        for block in batch:
-            for records, block_records in zip(per_point, block):
-                records.extend(block_records)
+    for k, records in enumerate(results):
+        per_point[k % len(points)].extend(records)
     return per_point
 
 

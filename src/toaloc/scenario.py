@@ -129,8 +129,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.sigma_request, dtype=float))
-        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-            raise ValueError("request sigmas must be finite and non-negative")
+        if s.ndim != 1 or np.any(s < 0.0) or not np.all(np.isfinite(s)):
+            raise ValueError("request sigmas must be a vector, finite and non-negative")
         if self.sigma_response < 0.0 or not np.isfinite(self.sigma_response):
             raise ValueError("response sigma must be finite and non-negative")
         object.__setattr__(self, "sigma_request", s)

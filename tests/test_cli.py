@@ -25,6 +25,18 @@ def write_scenario_config(tmp_path, name="scenario.json", mode="estimated-veloci
     return str(path), sc
 
 
+def record_solve(seen: list, config: bool = False):
+    """A stand-in for cli.solve that records the initial iterate, or with
+    ``config`` the solver config, of each call and then solves."""
+    real = cli.solve
+
+    def solve(measurements, anchors, solver, initial):
+        seen.append(solver if config else initial)
+        return real(measurements, anchors, solver, initial)
+
+    return solve
+
+
 class TestSolve:
     def test_fixture_recovers_truth(self, tmp_path, capsys):
         assert main(["solve", FIXTURE]) == EXIT_OK
@@ -136,6 +148,46 @@ class TestSolve:
         assert main(["solve", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["known-velocity", "one-way"])
+    def test_initial_clock_overrides_reach_the_solver(self, tmp_path, capsys, monkeypatch, mode):
+        doc = json.loads(Path(FIXTURE).read_text())
+        doc["mode"] = mode
+        doc["solver"] = {"known_velocity_mps": [0.0, 0.0]}
+        doc["initial"].update(clock_offset_m=12.5, clock_drift_mps=-3.25)
+        seen = []
+        monkeypatch.setattr(cli, "solve", record_solve(seen))
+        path = tmp_path / "initial.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+        (initial,) = seen
+        assert initial.clock_offset_m == 12.5
+        # the one-way iterate has no drift to override
+        assert initial.clock_drift_mps == (None if mode == "one-way" else -3.25)
+
+    def test_known_velocity_defaults_to_the_scenario_velocity(self, tmp_path, capsys, monkeypatch):
+        config, sc = write_scenario_config(tmp_path, mode="known-velocity")
+        seen = []
+        monkeypatch.setattr(cli, "solve", record_solve(seen, config=True))
+        assert main(["solve", config]) == EXIT_OK
+        (solver,) = seen
+        assert solver.known_velocity_mps.tobytes() == sc.ud.velocity.tobytes()
+        assert json.loads(capsys.readouterr().out)["position_error_m"] < 1.0
+
+    def test_non_integer_toa_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        config, _ = write_scenario_config(tmp_path)
+        monkeypatch.setenv("TOA_SEED", "1.5")
+        assert main(["solve", config]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: TOA_SEED must be an integer, got '1.5'\n"
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        for path in (tmp_path / "absent.json", tmp_path):
+            assert main(["solve", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read config {str(path)!r}: ")
+            assert err.count("\n") == 1
 
     def test_internal_value_error_propagates(self, monkeypatch):
         # a ValueError from inside the program is a fault, not a config error
@@ -317,6 +369,41 @@ class TestExperiment:
     def test_unknown_preset(self, capsys):
         assert main(["experiment", "--preset", "nope"]) == EXIT_CONFIG
 
+    def test_kind_runs_its_default_sweep(self, tmp_path, capsys):
+        out_csv = tmp_path / "kind.csv"
+        argv = ["experiment", "--kind", "speed-sweep", "--trials", "2", "--output", str(out_csv)]
+        assert main(argv) == EXIT_OK
+        with open(out_csv, newline="") as fh:
+            rows = [(row["sweep_value"], row["mode"]) for row in csv.DictReader(fh)]
+        assert rows == [(f"{v:.1f}", mode) for v in range(0, 60, 10)
+                        for mode in ("estimated-velocity", "known-velocity")]
+        config = json.loads((tmp_path / "kind.manifest.json").read_text())["config"]
+        assert (config["kind"], config["trials"], config["sigma_m"]) == ("speed-sweep", 2, 0.1)
+
+    def test_unknown_kind(self, capsys):
+        assert main(["experiment", "--kind", "nope"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown kind 'nope'; available: noise-sweep, speed-sweep, "
+            "stationary-baseline, velocity-mismatch, success-rate, iteration-profile\n"
+        )
+
+    def test_jobs_flag_overrides_the_config(self, tmp_path, capsys):
+        doc = {"kind": "noise-sweep", "sweep_values": [0.5], "trials": 6, "jobs": 1}
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(doc))
+        tables = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"jobs{jobs}.csv"
+            argv = ["experiment", "--config", str(config), "--jobs", jobs, "--output", str(out_csv)]
+            assert main(argv) == EXIT_OK
+            manifest = json.loads((tmp_path / f"jobs{jobs}.manifest.json").read_text())
+            assert manifest["config"]["jobs"] == int(jobs)
+            with open(out_csv, newline="") as fh:
+                tables.append([{**row, "mean_solve_us": None} for row in csv.DictReader(fh)])
+        assert tables[0] == tables[1]
+
     def test_requires_some_source(self, capsys):
         assert main(["experiment"]) == EXIT_CONFIG
 
@@ -482,7 +569,8 @@ class TestVerifyTheoremsGolden:
             (EXIT_CONFIG, "error: weighting requires strictly positive sigmas\n"),
         ),
         "overflow-at-2": (
-            6, {2: (7, "overflow")}, ("NonFiniteMatrix", "a contains non-finite entries")
+            6, {2: (7, "overflow")},
+            (EXIT_CONFIG, "error: request sigma out of range for weighting\n"),
         ),
         # coincident anchors fail the whole chunk before any of its instances
         # is checked, as when each drawn instance built an AnchorSet
@@ -506,8 +594,7 @@ class TestVerifyTheoremsGolden:
 
         monkeypatch.setattr(cli, "_random_geometry", injected)
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):  # the overflowing weights
-                outcome = main(["verify-theorems", "--instances", str(instances), "--seed", "4"])
+            outcome = main(["verify-theorems", "--instances", str(instances), "--seed", "4"])
         except ValueError as exc:  # a fault the CLI does not report as an input error
             outcome, message = type(exc).__name__, str(exc)
         else:

@@ -12,7 +12,8 @@ from toaloc.linalg import (
     NonFiniteMatrix,
     SingularMatrix,
     invert_spd,
-    is_positive_semidefinite,
+    invert_spd_rows,
+    psd_rows,
     solve_spd,
     solve_spd_rows,
 )
@@ -124,18 +125,53 @@ class TestBitIdentity:
             assert np.array_equal(invert_spd(a), 0.5 * (inv + inv.T))
 
 
-class TestIsPositiveSemidefinite:
+class TestPsdRows:
     def test_psd_boundary(self):
-        assert is_positive_semidefinite(np.diag([1.0, 0.0]), tol=1e-12)
+        assert psd_rows(np.diag([1.0, 0.0])[None], tol=1e-12)[0]
 
     def test_indefinite(self):
-        assert not is_positive_semidefinite(np.diag([1.0, -1.0]), tol=1e-12)
+        assert not psd_rows(np.diag([1.0, -1.0])[None], tol=1e-12)[0]
 
     def test_gram_matrices(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            b = rng.normal(size=(6, 4))
-            assert is_positive_semidefinite(b.T @ b, tol=1e-12)
+        b = rng.normal(size=(20, 6, 4))
+        assert psd_rows(b.swapaxes(1, 2) @ b, tol=1e-12).all()
+
+    def test_scale_per_row(self):
+        # -1e-6 fails against its own scale but passes against a scale of 1e4
+        a = np.array([np.diag([1.0, -1e-6])] * 2)
+        assert psd_rows(a, 1e-9, scale=np.array([1.0, 1e4])).tolist() == [False, True]
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NonFiniteMatrix):
+            psd_rows(np.diag([1.0, np.nan])[None], 1e-12)
+
+
+class TestInvertSpdRows:
+    def test_every_row_equals_invert_spd(self):
+        a = np.array([a for a, _, _ in random_spd_systems(8) if a.shape == (5, 5)])
+        rows = invert_spd_rows(a)
+        assert len(a) > 10
+        for row, matrix in zip(rows, a):
+            assert row.tobytes() == invert_spd(matrix).tobytes()
+
+    def test_first_columns_have_the_bits_of_the_full_identity(self):
+        a = np.array([a for a, _, _ in random_spd_systems(9) if a.shape == (4, 4)])
+        full = np.array([solve_spd(matrix, np.eye(4)) for matrix in a])
+        assert invert_spd_rows(a, 2).tobytes() == full[:, :, :2].tobytes()
+
+    def test_raises_the_first_bad_row(self):
+        a = np.array([np.eye(3), np.ones((3, 3)), np.diag([1.0, np.nan, 1.0])])
+        with pytest.raises(SingularMatrix, match="not positive definite"):
+            invert_spd_rows(a)
+        with pytest.raises(NonFiniteMatrix):
+            invert_spd_rows(a[::-1])
+
+    def test_invert_spd_rejects_non_square_and_empty(self):
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            invert_spd(np.ones((2, 3)))
+        with pytest.raises(SingularMatrix, match="pivot below singularity tolerance"):
+            invert_spd(np.zeros((0, 0)))
 
 
 def outcome(a, b):

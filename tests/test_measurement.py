@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,10 +113,20 @@ class TestBuildWeights:
         with pytest.raises(InvalidNoise, match="response sigma out of range"):
             weight_vector(NoiseSpec(np.ones(3), sigma))
 
-    def test_tiny_request_sigmas_still_give_infinite_weights(self):
-        with np.errstate(divide="ignore"):
-            w = weight_vector(NoiseSpec(np.full(3, 1e-200), 1.0))
-        assert np.isinf(w[:3]).all() and np.array_equal(w[3:], np.ones(3))
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-163, 1e-200, 1e155, 1e200])
+    def test_request_sigma_without_finite_weight_is_invalid_noise(self, sigma):
+        # the weight of the first would overflow, the array square of the next
+        # two underflows to zero, of the last two overflows; no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidNoise, match="request sigma out of range"):
+                weight_vector(NoiseSpec(np.r_[1.0, sigma, 1.0], 1.0))
+
+    def test_extreme_request_sigmas_with_finite_weights_pass(self):
+        # 1e-154 squares to a subnormal whose reciprocal still fits
+        sigma = np.array([1e-154, 1.0, 1e154])
+        w = weight_vector(NoiseSpec(sigma, 1.0))
+        assert np.array_equal(w[:3], 1.0 / sigma**2) and np.isfinite(w).all() and (w > 0.0).all()
 
     def test_rows_have_the_bits_of_one_spec_at_a_time(self):
         # numpy's array square differs from the float pow on about 0.08% of

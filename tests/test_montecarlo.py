@@ -535,9 +535,11 @@ def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each map's
+    chunk size, and maps in-process."""
 
     seen: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         RecordingPool.seen.append(max_workers)
@@ -548,8 +550,9 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables, chunksize=1):
+        RecordingPool.chunks.append(chunksize)
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -566,3 +569,21 @@ def test_pool_workers_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus
     assert RecordingPool.seen == [expected]
     expected = [untimed(run_trial(config, 0, t)) for t in range(trials)]
     assert [untimed(r) for r in records] == expected
+
+
+@pytest.mark.parametrize(
+    "jobs,trials,chunksize", [(2, 40, 6), (2, 100, 18), (2, 10, 3), (1000, 40, 3)]
+)
+def test_pool_chunks_hold_whole_blocks(monkeypatch, jobs, trials, chunksize):
+    # three iteration-profile budgets: a chunk holds whole blocks of
+    # (block, point) items, about 8 chunks per worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "BLOCK", 1)
+    RecordingPool.seen, RecordingPool.chunks = [], []
+    config = ExperimentConfig("iteration-profile", (1.0, 2.0, 3.0), trials=trials, jobs=jobs)
+    per_point = montecarlo._run_points(config, range(3))
+    assert RecordingPool.chunks == [chunksize]
+    serial = montecarlo._run_points(replace(config, jobs=1), range(3))
+    assert [[untimed(r) for r in records] for records in per_point] == [
+        [untimed(r) for r in records] for records in serial
+    ]

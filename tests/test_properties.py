@@ -1,14 +1,18 @@
 """Property tests of the CLI boundary: whatever a ``verify-theorems --config``
-document holds, the command exits 0, 1 or 2, and a rejected document gives
-exactly one ``error:`` line and no report, never a traceback."""
+document holds, and whatever one field of a valid ``solve``, ``crlb`` or
+``predict-bias`` document is replaced by, the command exits 0, 1 or 2, and a
+rejected document gives exactly one ``error:`` line and no report, never a
+traceback."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -16,6 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main  # noqa: E402
+from toaloc.scenario import benchmark_scenario  # noqa: E402
 
 
 # quotes, a backslash, a newline, non-ASCII and a lone surrogate among plain
@@ -43,9 +48,9 @@ DOCUMENTS = st.fixed_dictionaries(
 ) | json_values(NUMBERS)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(DOCUMENTS)
-def test_verify_theorems_config_exits_cleanly(document):
+def run(argv: list, document) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of main(argv + [config path]) on a
+    document, with TOA_SEED unset. A warning would print to stderr: it fails."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         os.environ.pop("TOA_SEED", None)
@@ -53,11 +58,138 @@ def test_verify_theorems_config_exits_cleanly(document):
         with open(path, "w") as fh:
             json.dump(document, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify-theorems", "--config", path])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*argv, path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code: int, out: str, err: str) -> None:
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NOT_CONVERGED)
     if code == EXIT_CONFIG:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+def test_verify_theorems_config_exits_cleanly(document):
+    code, out, err = run(["verify-theorems", "--config"], document)
+    assert_clean_exit(code, out, err)
+    if code != EXIT_CONFIG:
+        assert err == ""
+        assert json.loads(out)["instances"] in (1, 2, 3)
+
+
+SCENARIO = json.loads(benchmark_scenario(np.random.default_rng(17)).to_json())
+# one valid document for all three commands: the benchmark's scenario, and
+# solve keys that set every override cmd_solve reads
+VALID = {
+    "scenario": SCENARIO,
+    "mode": "estimated-velocity",
+    "seed": 3,
+    "solver": {"max_iterations": 3, "convergence_threshold_m": 0.01,
+               "known_velocity_mps": SCENARIO["ud"]["velocity_mps"]},
+    "initial": {"position_m": [5.0, -7.0], "clock_offset_m": 1.0, "clock_drift_mps": 0.5,
+                "velocity_mps": [1.0, 2.0]},
+    "truth": {"position_m": SCENARIO["ud"]["position_m"], "clock_offset_m": 0.0},
+    "modes": ["known-velocity", "one-way"],
+    "assumed_velocity_mps": [3.0, -4.0],
+}
+SCENARIO_FIELDS = [("scenario",)] + [("scenario", key) for key in SCENARIO] + [
+    ("scenario", parent, key) for parent in ("ud", "noise_m") for key in SCENARIO[parent]
+]
+FIELDS = {
+    "solve": SCENARIO_FIELDS + [("mode",), ("seed",), ("truth",), ("solver",), ("initial",)] + [
+        (parent, key) for parent in ("solver", "initial") for key in VALID[parent]
+    ],
+    "crlb": SCENARIO_FIELDS + [("modes",)],
+    "predict-bias": SCENARIO_FIELDS + [("assumed_velocity_mps",)],
+}
+MISSING = object()  # the field is deleted
+
+
+def replaced(document: dict, field: tuple, value) -> dict:
+    """A copy of document with the field at path ``field`` set to value, or
+    deleted for MISSING."""
+    document = json.loads(json.dumps(document))
+    *parents, key = field
+    target = document
+    for parent in parents:
+        target = target[parent]
+    if value is MISSING:
+        del target[key]
     else:
-        assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["instances"] in (1, 2, 3)
+        target[key] = value
+    return document
+
+
+def edits(command: str):
+    """(field, value) pairs: every field of the command's document equally
+    likely, the solver's iteration budget kept small like the counts above."""
+    def values(field):
+        numbers = COUNTS if field == ("solver", "max_iterations") else NUMBERS
+        return json_values(numbers) | st.just(MISSING)
+
+    return st.sampled_from(FIELDS[command]).flatmap(lambda f: st.tuples(st.just(f), values(f)))
+
+
+def finite_json(text: str):
+    """json.loads that fails on NaN and infinities."""
+    def reject(constant):
+        raise AssertionError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def check_edit(command: str, field: tuple, value, mode: str = "estimated-velocity") -> None:
+    code, out, err = run([command], replaced(dict(VALID, mode=mode), field, value))
+    assert_clean_exit(code, out, err)
+    if code != EXIT_CONFIG:
+        assert err == ""
+        # a report on exit 0 holds only finite numbers; a non-converged solve may not
+        report = finite_json(out) if code == EXIT_OK else json.loads(out)
+        assert isinstance(report, dict)
+
+
+MODES = st.sampled_from(["known-velocity", "estimated-velocity", "stationary", "one-way"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits("solve"), MODES)
+def test_solve_document_exits_cleanly(edit, mode):
+    check_edit("solve", *edit, mode)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits("crlb"))
+def test_crlb_document_exits_cleanly(edit):
+    check_edit("crlb", *edit)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits("predict-bias"))
+def test_predict_bias_document_exits_cleanly(edit):
+    check_edit("predict-bias", *edit)
+
+
+@pytest.mark.parametrize(
+    "command,field,value",
+    [
+        ("predict-bias", ("assumed_velocity_mps",), []),
+        ("predict-bias", ("assumed_velocity_mps",), None),
+        ("predict-bias", ("assumed_velocity_mps",), [1, 2, 3]),
+        ("predict-bias", ("assumed_velocity_mps",), [1.0, float("inf")]),
+        ("solve", ("solver",), [1]),
+        ("solve", ("solver",), "x"),
+        ("solve", ("solver",), None),
+        ("solve", ("initial", "position_m"), [[5.0], [-7.0]]),
+        ("crlb", ("scenario", "noise_m", "request"), [[0.1, 0.1], [0.1, 0.1]]),
+        ("crlb", ("scenario", "ud", "position_m"), [0.0, 1.3407807929942597e154]),
+        ("predict-bias", ("scenario", "ud", "velocity_mps"), [0.0, 1.1286776992816053e163]),
+    ],
+)
+def test_known_counterexamples_exit_cleanly(command, field, value):
+    # each of these once ended in a traceback, a numpy warning on stderr or a NaN report
+    code, out, err = run([command], replaced(VALID, field, value))
+    assert (code, out, err.count("\n")) == (EXIT_CONFIG, "", 1) and err.startswith("error:")
