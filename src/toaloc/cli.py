@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, montecarlo
 from .estimator import InsufficientMeasurements, MissingKnownVelocity, Mode, SolverConfig
 from .estimator import default_initial, solve
-from .linalg import DimensionMismatch, SingularMatrix
+from .linalg import DimensionMismatch, NonFiniteMatrix, SingularMatrix
 from .measurement import DegenerateGeometry, InvalidMeasurements, InvalidNoise
 from .measurement import ToaMeasurementSet, generate
 from .scenario import AnchorSet, Scenario, direction
@@ -90,8 +90,11 @@ class ConfigError(ValueError):
 
 # Errors that report unusable input rather than a fault in the program:
 # main turns them into exit code 1 and lets every other exception through.
+# A non-finite matrix can come only from document values here: solve turns
+# its own into non-converged reports.
 INPUT_ERRORS = (ConfigError, InvalidMeasurements, InvalidNoise, InsufficientMeasurements,
-                MissingKnownVelocity, DegenerateGeometry, SingularMatrix, DimensionMismatch)
+                MissingKnownVelocity, DegenerateGeometry, SingularMatrix, NonFiniteMatrix,
+                DimensionMismatch)
 
 
 @contextmanager
@@ -222,6 +225,10 @@ def cmd_solve(args) -> int:
                 out["clock_offset_error_m"] = float(
                     abs(est.clock_offset_m - float(truth["clock_offset_m"]))
                 )
+        errors = [out[key] for key in ("position_error_m", "clock_offset_error_m") if key in out]
+        # a finite estimate's error is finite unless the truth is out of float range
+        if np.isfinite(est.to_array()).all() and not np.isfinite(errors).all():
+            raise ConfigError("truth out of float range for the error report")
     _emit(json.dumps(out, indent=2), args.output)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

@@ -141,10 +141,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_threshold_m is not None and self.convergence_threshold_m <= 0.0:
-            raise ValueError("convergence threshold must be positive")
+        threshold = self.convergence_threshold_m
+        if threshold is not None and not 0.0 < threshold < math.inf:
+            raise ValueError("convergence threshold must be positive and finite")
         if self.known_velocity_mps is not None:
             self.known_velocity_mps = np.asarray(self.known_velocity_mps, dtype=float)
+            if not np.isfinite(self.known_velocity_mps).all():
+                raise ValueError("known velocity must be finite")
 
 
 @dataclass(slots=True)

@@ -149,16 +149,18 @@ class ExperimentConfig:
 
 @dataclass
 class ModeOutcome:
-    converged: bool
-    iterations: int
-    pos_err_m: float
-    clk_err_m: float
-    solve_time_s: float
-    crlb_pos_sq: float  # sum of position variances from the CRLB, m^2
-    crlb_clk_sq: float  # clock-offset CRLB variance, m^2
-    pred_rmse_pos: float | None = None
-    pred_rmse_clk: float | None = None
-    failed: bool = False
+    """One outcome label's results as columns, one entry per trial."""
+
+    converged: np.ndarray
+    iterations: np.ndarray
+    pos_err_m: np.ndarray
+    clk_err_m: np.ndarray
+    solve_time_s: np.ndarray
+    crlb_pos_sq: np.ndarray  # sum of position variances from the CRLB, m^2
+    crlb_clk_sq: np.ndarray  # clock-offset CRLB variance, m^2
+    pred_rmse_pos: np.ndarray | None  # None for a label without bias predictions
+    pred_rmse_clk: np.ndarray | None
+    failed: np.ndarray
 
 
 @dataclass
@@ -166,13 +168,21 @@ class TrialRecord:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
-def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> list[TrialRecord]:
-    """Execute a block of seeded trials at one sweep point.
+def _concat(records: list[TrialRecord], label: str) -> ModeOutcome:
+    """One label's columns of consecutive records, joined in record order."""
+    columns = [[getattr(r.outcomes[label], f.name) for r in records] for f in fields(ModeOutcome)]
+    return ModeOutcome(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
-    Only the draw is per trial: each trial's generator fills its row of raw
+
+def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> TrialRecord:
+    """Execute a block of seeded trials at one sweep point: one record, its
+    columns in the order of ``trial_indices``.
+
+    Only the draw and the bias prediction (of a label with an assumed
+    velocity) are per trial: each trial's generator fills its row of raw
     variates in the order benchmark_scenario, the start angle, generate (per
     response-delay step) and the deviation angle draw them. Everything else,
-    solves included, is computed for the whole block; the records do not
+    solves included, is computed for the whole block; the columns do not
     depend on the block's size.
     """
     sweep_value = config.sweep_values[sweep_index]
@@ -235,7 +245,7 @@ def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> lis
         runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
                 for mode in config.modes}
 
-    records = [TrialRecord() for _ in trial_indices]
+    record = TrialRecord()
     for label, (mode, k, known, assumed) in runs.items():
         anchors_m, delays, weights, stacked = epochs[k]
         fitted = m if mode is Mode.ONE_WAY else 2 * m
@@ -267,40 +277,39 @@ def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> lis
             mode, anchors_m, delays, position, velocity, weights
         )
         err = est.theta[:, :n] - position
-        pos_err = np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0]  # np.linalg.norm's ddot
-        clk_err = np.abs(est.theta[:, n] - offset_m)
-        for row, (iterations, e_pos, e_clk, c_pos, c_clk) in enumerate(zip(
-            est.iterations, pos_err.tolist(), clk_err.tolist(), pos_crlb.tolist(), clk_crlb.tolist()
-        )):
-            failed = est.failures[row] is not None
-            outcome = ModeOutcome(
-                # a profiled run spends its whole iteration budget by
-                # construction; completing it counts as converged
-                converged=iterations == max_iter if profile and not failed else est.converged[row],
-                iterations=iterations,
-                pos_err_m=e_pos,
-                clk_err_m=e_clk,
-                solve_time_s=elapsed,
-                crlb_pos_sq=c_pos**2,
-                crlb_clk_sq=c_clk**2,
-                failed=failed,
-            )
-            if assumed is not None:
-                anchors, schedule, noise = parts[k]
-                ud = UdState(position[row], velocity[row], offset[row], drift[row])
-                bias = analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, assumed[row])
-                outcome.pred_rmse_pos = bias.predicted_rmse_position
-                outcome.pred_rmse_clk = bias.predicted_rmse_clock
-            records[row].outcomes[label] = outcome
-    return records
+        iterations = np.array(est.iterations)
+        failed = np.array([exc is not None for exc in est.failures])
+        biases = []
+        if assumed is not None:
+            anchors, schedule, noise = parts[k]
+            biases = [analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, v)
+                      for ud, v in zip(map(UdState, position, velocity, offset, drift), assumed)]
+        record.outcomes[label] = ModeOutcome(
+            # a profiled run spends its whole iteration budget by
+            # construction; completing it counts as converged
+            converged=(np.where(failed, est.converged, iterations == max_iter) if profile
+                       else np.array(est.converged)),
+            iterations=iterations,
+            pos_err_m=np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0],  # np.linalg.norm's ddot
+            clk_err_m=np.abs(est.theta[:, n] - offset_m),
+            solve_time_s=np.full(t, elapsed),
+            # squares of Python floats: numpy's array square rounds some differently
+            crlb_pos_sq=np.array([c**2 for c in pos_crlb.tolist()]),
+            crlb_clk_sq=np.array([c**2 for c in clk_crlb.tolist()]),
+            pred_rmse_pos=np.array([b.predicted_rmse_position for b in biases]) if biases else None,
+            pred_rmse_clk=np.array([b.predicted_rmse_clock for b in biases]) if biases else None,
+            failed=failed,
+        )
+    return record
 
 
 def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> TrialRecord:
-    """Execute one seeded trial at one sweep point: a block of one trial.
+    """Execute one seeded trial at one sweep point: the record of a block of
+    one trial, every column of length one.
 
     Solver failures are recorded in the outcome, never raised.
     """
-    return _run_block(config, sweep_index, [trial_index])[0]
+    return _run_block(config, sweep_index, [trial_index])
 
 
 @dataclass(frozen=True)
@@ -333,8 +342,9 @@ def aggregate(
     sweep_value: float,
     correctness_filter: bool = True,
 ) -> SweepPointSummary:
-    """Fold trial outcomes for one label at one sweep point into RMSEs,
-    CRLB references, success rate, and mean solver wall time.
+    """Fold one label's outcome columns at one sweep point, read from each
+    record of ``records`` in turn, into RMSEs, CRLB references, success
+    rate, and mean solver wall time.
 
     The solver wall time is each block's timed solve, run with the cyclic
     garbage collector paused, divided among its trials: collection passes
@@ -345,48 +355,42 @@ def aggregate(
     threshold are excluded as well (they converged to a wrong solution).
     Success rates always use all trials in the denominator.
     """
-    outcomes = [r.outcomes[label] for r in records if label in r.outcomes]
-    if not outcomes:
+    if not records:
         raise ValueError(f"no outcomes recorded for label {label!r}")
+    o = _concat(records, label)
+    success = o.pos_err_m < 6.0 * np.sqrt(o.crlb_pos_sq)
 
-    pos_err = np.array([o.pos_err_m for o in outcomes])
-    clk_err = np.array([o.clk_err_m for o in outcomes])
-    crlb_pos_sq = np.array([o.crlb_pos_sq for o in outcomes])
-    crlb_clk_sq = np.array([o.crlb_clk_sq for o in outcomes])
-    converged = np.array([o.converged for o in outcomes])
-    success = pos_err < 6.0 * np.sqrt(crlb_pos_sq)
-
-    keep = converged & success if correctness_filter else converged
-    preds = [o.pred_rmse_pos for o in outcomes if o.pred_rmse_pos is not None]
+    keep = o.converged & success if correctness_filter else o.converged
     return SweepPointSummary(
         sweep_value=sweep_value,
         mode=label,
-        n_trials=len(outcomes),
-        n_converged=int(np.sum(converged)),
-        pos_rmse_m=_rmse(pos_err[keep]),
-        clk_rmse_m=_rmse(clk_err[keep]),
-        pos_crlb_m=float(np.sqrt(np.mean(crlb_pos_sq))),
-        clk_crlb_m=float(np.sqrt(np.mean(crlb_clk_sq))),
-        pred_rmse_m=_rmse(np.asarray(preds)) if preds else None,
+        n_trials=len(o.converged),
+        n_converged=int(np.sum(o.converged)),
+        pos_rmse_m=_rmse(o.pos_err_m[keep]),
+        clk_rmse_m=_rmse(o.clk_err_m[keep]),
+        pos_crlb_m=float(np.sqrt(np.mean(o.crlb_pos_sq))),
+        clk_crlb_m=float(np.sqrt(np.mean(o.crlb_clk_sq))),
+        pred_rmse_m=None if o.pred_rmse_pos is None else _rmse(o.pred_rmse_pos),
         success_rate=float(np.mean(success)),
-        mean_solve_us=float(np.mean([o.solve_time_s for o in outcomes]) * 1e6),
-        pos_rmse_unfiltered_m=_rmse(pos_err[np.isfinite(pos_err)]),
+        mean_solve_us=float(np.mean(o.solve_time_s) * 1e6),
+        pos_rmse_unfiltered_m=_rmse(o.pos_err_m[np.isfinite(o.pos_err_m)]),
     )
 
 
 def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
-    """Trial records at each sweep point of ``points``, in trial-index order.
+    """One record per block of trials at each sweep point of ``points``, in order.
 
     Trials run in blocks of at most BLOCK, one _run_block call per (block,
     point) item in block-major order, in-process or in pool chunks, about 8
-    per worker. A chunk holds whole blocks, so each block runs its points
-    back to back. The records do not depend on ``jobs`` or on the block size."""
+    per worker: one pool serves every point. A chunk holds whole blocks, so
+    each block runs its points back to back. The columns do not depend on
+    ``jobs`` or on the block size."""
     blocks = [range(first, min(first + BLOCK, config.trials))
               for first in range(0, config.trials, BLOCK)]
     items = ([config] * (len(blocks) * len(points)), [i for _ in blocks for i in points],
              [block for block in blocks for _ in points])
     if config.jobs == 1:
-        results = map(_run_block, *items)
+        results = list(map(_run_block, *items))
     else:
         from concurrent.futures import ProcessPoolExecutor  # 2 MB; single-process runs skip it
 
@@ -394,15 +398,13 @@ def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
         workers = min(config.jobs, -(-len(blocks) // per_chunk), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, *items, chunksize=per_chunk * len(points)))
-    per_point: list[list[TrialRecord]] = [[] for _ in points]
-    for k, records in enumerate(results):
-        per_point[k % len(points)].extend(records)
-    return per_point
+    return [results[k :: len(points)] for k in range(len(points))]
 
 
 def run_sweep_point(config: ExperimentConfig, sweep_index: int) -> list[TrialRecord]:
-    """All trial records for one sweep point, in trial-index order."""
-    return _run_points(config, (sweep_index,))[0]
+    """One sweep point's trials as a list of one record, in trial-index order."""
+    records = _run_points(config, (sweep_index,))[0]
+    return [TrialRecord({label: _concat(records, label) for label in records[0].outcomes})]
 
 
 def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
@@ -410,16 +412,13 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
     # the stationary baseline and mismatch studies measure biased estimators,
     # so the 6*sqrt(CRLB) wrong-solution filter does not apply to them
     correctness_filter = config.kind not in (STATIONARY_BASELINE, VELOCITY_MISMATCH)
-    points = range(len(config.sweep_values))
-    # every budget replays the same trials: running the budgets of one trial
-    # back to back pairs their solve timings too, so that drift in machine
-    # speed cannot bend the per-iteration cost curve. Other kinds run one
-    # point at a time, so that only one point's records are held at once.
-    groups = [points] if config.kind == ITERATION_PROFILE else [(i,) for i in points]
-    per_point = (records for group in groups for records in _run_points(config, group))
+    # every block runs its points back to back: the iteration profile replays
+    # the same trials at every budget, so that pairs their solve timings too,
+    # and drift in machine speed cannot bend the per-iteration cost curve
+    per_point = _run_points(config, range(len(config.sweep_values)))
     summaries: list[SweepPointSummary] = []
     for sweep_value, records in zip(config.sweep_values, per_point):
-        for label in sorted(records[0].outcomes.keys()):
+        for label in sorted(records[0].outcomes):
             summaries.append(aggregate(records, label, sweep_value, correctness_filter))
     return summaries
 

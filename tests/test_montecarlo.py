@@ -4,7 +4,7 @@ import gc
 import hashlib
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,9 +47,21 @@ class TestDeriveSeed:
             assert 0 <= s < 2**64
 
 
-def untimed(record):
-    """A record's outcomes without the solver wall time, as comparable text."""
-    return repr({k: {**asdict(o), "solve_time_s": None} for k, o in record.outcomes.items()})
+def untimed(record) -> list[str]:
+    """Each trial's row of a record's columns without the solver wall time,
+    as comparable text: the repr of the per-label outcome dicts, with Python
+    scalars, that a record of one trial's outcomes gave."""
+    columns = {
+        label: {name: None if column is None else column.tolist() for name, column in vars(o).items()}
+        for label, o in record.outcomes.items()
+    }
+    trials = len(next(iter(columns.values()))["converged"])
+    return [
+        repr({label: {name: None if column is None or name == "solve_time_s" else column[i]
+                      for name, column in outcome.items()}
+              for label, outcome in columns.items()})
+        for i in range(trials)
+    ]
 
 
 class TestRunTrial:
@@ -66,7 +78,7 @@ class TestRunTrial:
         # the sigma/10 step threshold is below the float64 residual floor at
         # this noise level, so only the recovered error is meaningful
         for label, outcome in record.outcomes.items():
-            assert outcome.pos_err_m < 1e-3, label
+            assert outcome.pos_err_m.tolist() < [1e-3], label
 
     def test_noise_sweep_labels(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1,), trials=1)
@@ -88,17 +100,17 @@ class TestRunTrial:
             "known-velocity@dt20ms",
         }
         for label in ("stationary@dt5ms", "stationary@dt20ms"):
-            assert record.outcomes[label].pred_rmse_pos is not None
+            assert record.outcomes[label].pred_rmse_pos.shape == (1,)
         assert (
-            record.outcomes["stationary@dt20ms"].pred_rmse_pos
-            > record.outcomes["stationary@dt5ms"].pred_rmse_pos
+            record.outcomes["stationary@dt20ms"].pred_rmse_pos[0]
+            > record.outcomes["stationary@dt5ms"].pred_rmse_pos[0]
         )
 
     def test_velocity_mismatch_attaches_prediction(self):
         config = ExperimentConfig(kind="velocity-mismatch", sweep_values=(8.0,), trials=1)
         record = run_trial(config, 0, 0)
         outcome = record.outcomes["known-velocity"]
-        assert outcome.pred_rmse_pos is not None and outcome.pred_rmse_pos > 0
+        assert outcome.pred_rmse_pos.shape == (1,) and outcome.pred_rmse_pos[0] > 0
 
     def test_iteration_profile_forces_iteration_count(self):
         for budget in (2, 5):
@@ -107,7 +119,7 @@ class TestRunTrial:
             )
             record = run_trial(config, 0, 0)
             for outcome in record.outcomes.values():
-                assert outcome.iterations == budget
+                assert outcome.iterations.tolist() == [budget]
 
 
 class TestConfig:
@@ -178,25 +190,29 @@ class TestConfig:
             assert ExperimentConfig.from_dict(doc) == ExperimentConfig(kind, (1.0, 5.0))
 
 
-def make_outcome(pos_err, clk_err=0.5, converged=True, crlb=1.0):
-    return ModeOutcome(
-        converged=converged,
-        iterations=4,
-        pos_err_m=pos_err,
-        clk_err_m=clk_err,
-        solve_time_s=1e-3,
-        crlb_pos_sq=crlb,
-        crlb_clk_sq=crlb,
+def make_records(pos_err, converged=None, label="m"):
+    """A record of one label's columns: the given position errors, clock
+    errors of 0.5 m, CRLB variances of 1 m^2, and every trial converged
+    unless ``converged`` says otherwise."""
+    t = len(pos_err)
+    outcome = ModeOutcome(
+        converged=np.array([True] * t if converged is None else converged),
+        iterations=np.full(t, 4),
+        pos_err_m=np.array(pos_err, dtype=float),
+        clk_err_m=np.full(t, 0.5),
+        solve_time_s=np.full(t, 1e-3),
+        crlb_pos_sq=np.ones(t),
+        crlb_clk_sq=np.ones(t),
+        pred_rmse_pos=None,
+        pred_rmse_clk=None,
+        failed=np.zeros(t, dtype=bool),
     )
-
-
-def make_records(outcomes, label="m"):
-    return [TrialRecord(outcomes={label: o}) for o in outcomes]
+    return [TrialRecord(outcomes={label: outcome})]
 
 
 class TestAggregate:
     def test_hand_rmse(self):
-        records = make_records([make_outcome(3.0), make_outcome(4.0)])
+        records = make_records([3.0, 4.0])
         summary = aggregate(records, "m", 1.0)
         assert summary.pos_rmse_m == pytest.approx(np.sqrt(12.5))
         assert summary.n_trials == 2
@@ -205,7 +221,7 @@ class TestAggregate:
 
     def test_correctness_filter_excludes_wrong_solutions(self):
         # threshold is 6*sqrt(1.0) = 6 m; the 100 m outlier converged but wrong
-        records = make_records([make_outcome(1.0), make_outcome(100.0)])
+        records = make_records([1.0, 100.0])
         summary = aggregate(records, "m", 1.0, correctness_filter=True)
         assert summary.pos_rmse_m == pytest.approx(1.0)
         assert summary.success_rate == 0.5
@@ -214,11 +230,30 @@ class TestAggregate:
         assert unfiltered.pos_rmse_m == pytest.approx(np.sqrt((1.0 + 100.0**2) / 2))
 
     def test_non_converged_excluded_from_rmse_but_counted(self):
-        records = make_records([make_outcome(2.0), make_outcome(2.0, converged=False)])
+        records = make_records([2.0, 2.0], converged=[True, False])
         summary = aggregate(records, "m", 1.0)
         assert summary.pos_rmse_m == pytest.approx(2.0)
         assert summary.n_converged == 1
         assert summary.n_trials == 2
+
+
+    def test_blocks_aggregate_as_their_concatenation(self, monkeypatch):
+        # a point's block records fold to the bits of one record holding
+        # their columns end to end, bias predictions and wall times included
+        monkeypatch.setattr(montecarlo, "BLOCK", 7)
+        config = ExperimentConfig("velocity-mismatch", (8.0,), trials=30)
+        (blocks,) = montecarlo._run_points(config, (0,))
+        assert len(blocks) == 5
+        joined = {}
+        for f in fields(ModeOutcome):
+            columns = [getattr(r.outcomes["known-velocity"], f.name) for r in blocks]
+            joined[f.name] = np.concatenate(columns)
+        whole = [TrialRecord(outcomes={"known-velocity": ModeOutcome(**joined)})]
+        for correctness_filter in (True, False):
+            a, b = (aggregate(records, "known-velocity", 8.0, correctness_filter)
+                    for records in (blocks, whole))
+            assert a.pred_rmse_m is not None
+            assert repr(a) == repr(b)
 
 
 class TestRunExperiment:
@@ -228,10 +263,11 @@ class TestRunExperiment:
         parallel = run_sweep_point(
             ExperimentConfig(kind="noise-sweep", sweep_values=(0.5,), trials=24, jobs=2), 0
         )
-        assert len(serial) == len(parallel) == 24
-        assert [untimed(r) for r in serial] == [untimed(r) for r in parallel]
+        assert len(serial) == len(parallel) == 1
+        assert len(untimed(serial[0])) == 24
+        assert untimed(serial[0]) == untimed(parallel[0])
         # distinct trials draw distinct scenarios
-        assert len({r.outcomes["known-velocity"].pos_err_m for r in serial}) == 24
+        assert len(set(serial[0].outcomes["known-velocity"].pos_err_m.tolist())) == 24
 
     def test_interleaved_iteration_profile_matches_per_point_runs(self):
         # run_experiment runs the budgets of each trial back to back, in
@@ -251,6 +287,17 @@ class TestRunExperiment:
             for summaries in (per_point, *interleaved)
         ]
         assert rows[0] == rows[1] == rows[2]  # repr, so that NaN RMSEs compare equal
+
+    def test_one_pool_serves_every_point(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.seen = []
+        config = ExperimentConfig("noise-sweep", (0.1, 1.0, 3.0), trials=20, jobs=2)
+        pooled = run_experiment(config)
+        assert len(RecordingPool.seen) == 1
+        serial = run_experiment(replace(config, jobs=1))
+        assert [repr({**s.to_row(), "mean_solve_us": None}) for s in pooled] == [
+            repr({**s.to_row(), "mean_solve_us": None}) for s in serial
+        ]
 
     def test_summary_rows_per_sweep_point(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1, 1.0), trials=5)
@@ -371,16 +418,22 @@ def test_records_match_goldens_for_any_block_size(name, block, jobs, monkeypatch
     per_point = montecarlo._run_points(replace(config, jobs=jobs), range(len(config.sweep_values)))
     sha = hashlib.sha256()
     for records in per_point:
-        assert len(records) == config.trials
-        for record in records:
-            sha.update(untimed(record).encode())
+        assert len(records) == -(-config.trials // block)  # one record per block
+        rows = [row for record in records for row in untimed(record)]
+        assert len(rows) == config.trials
+        for row in rows:
+            sha.update(row.encode())
     assert sha.hexdigest() == digest
 
 
 def test_run_trial_is_a_block_of_one():
     config = RECORD_GOLDENS["noise-sweep"][0]
     block = montecarlo._run_block(config, 1, range(10, 20))
-    assert [untimed(r) for r in block] == [untimed(run_trial(config, 1, t)) for t in range(10, 20)]
+    trials = [run_trial(config, 1, t) for t in range(10, 20)]
+    for record in trials:
+        for outcome in record.outcomes.values():
+            assert all(len(column) == 1 for column in vars(outcome).values() if column is not None)
+    assert untimed(block) == [row for record in trials for row in untimed(record)]
 
 
 def collector_at_solve(monkeypatch, fail=False) -> list[bool]:
@@ -565,10 +618,9 @@ def test_pool_workers_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus
     monkeypatch.setattr(montecarlo, "BLOCK", 1)
     RecordingPool.seen = []
     config = ExperimentConfig("noise-sweep", (0.1,), trials=trials, jobs=jobs)
-    records = run_sweep_point(config, 0)
+    (record,) = run_sweep_point(config, 0)
     assert RecordingPool.seen == [expected]
-    expected = [untimed(run_trial(config, 0, t)) for t in range(trials)]
-    assert [untimed(r) for r in records] == expected
+    assert untimed(record) == [row for t in range(trials) for row in untimed(run_trial(config, 0, t))]
 
 
 @pytest.mark.parametrize(

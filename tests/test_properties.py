@@ -1,8 +1,8 @@
 """Property tests of the CLI boundary: whatever a ``verify-theorems --config``
-document holds, and whatever one field of a valid ``solve``, ``crlb`` or
-``predict-bias`` document is replaced by, the command exits 0, 1 or 2, and a
-rejected document gives exactly one ``error:`` line and no report, never a
-traceback."""
+document holds, and whatever one field of a valid ``solve``, ``crlb``,
+``predict-bias`` or ``experiment --config`` document is replaced by, the
+command exits 0, 1 or 2, and a rejected document gives exactly one
+``error:`` line and no report, never a traceback."""
 
 import contextlib
 import io
@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from toaloc import cli  # noqa: E402
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main  # noqa: E402
 from toaloc.scenario import benchmark_scenario  # noqa: E402
 
@@ -48,12 +49,23 @@ DOCUMENTS = st.fixed_dictionaries(
 ) | json_values(NUMBERS)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def quick_main():
+    """While this module runs: TOA_SEED unset, as it would override the
+    documents' seeds, and one argument parser for every call of main. Set
+    once, because restoring the environment and building the parser take a
+    few milliseconds, a third of an example."""
+    parser = cli.build_parser()
+    with mock.patch.dict(os.environ), mock.patch.object(cli, "build_parser", lambda: parser):
+        os.environ.pop("TOA_SEED", None)
+        yield
+
+
 def run(argv: list, document) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of main(argv + [config path]) on a
-    document, with TOA_SEED unset. A warning would print to stderr: it fails."""
+    document. A warning would print to stderr: it fails."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("TOA_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(document, fh)
@@ -101,7 +113,7 @@ SCENARIO_FIELDS = [("scenario",)] + [("scenario", key) for key in SCENARIO] + [
 ]
 FIELDS = {
     "solve": SCENARIO_FIELDS + [("mode",), ("seed",), ("truth",), ("solver",), ("initial",)] + [
-        (parent, key) for parent in ("solver", "initial") for key in VALID[parent]
+        (parent, key) for parent in ("solver", "initial", "truth") for key in VALID[parent]
     ],
     "crlb": SCENARIO_FIELDS + [("modes",)],
     "predict-bias": SCENARIO_FIELDS + [("assumed_velocity_mps",)],
@@ -187,9 +199,76 @@ def test_predict_bias_document_exits_cleanly(edit):
         ("crlb", ("scenario", "noise_m", "request"), [[0.1, 0.1], [0.1, 0.1]]),
         ("crlb", ("scenario", "ud", "position_m"), [0.0, 1.3407807929942597e154]),
         ("predict-bias", ("scenario", "ud", "velocity_mps"), [0.0, 1.1286776992816053e163]),
+        ("solve", ("solver", "convergence_threshold_m"), float("nan")),
+        ("solve", ("solver", "known_velocity_mps"), [float("nan"), 0.0]),
+        ("solve", ("truth", "position_m"), [float("nan"), 0.0]),
+        ("solve", ("truth", "position_m"), [1e308, 1e308]),
     ],
 )
 def test_known_counterexamples_exit_cleanly(command, field, value):
-    # each of these once ended in a traceback, a numpy warning on stderr or a NaN report
+    # each of these once ended in a traceback, a numpy warning on stderr, a
+    # NaN report or a spent iteration budget
     code, out, err = run([command], replaced(VALID, field, value))
+    assert (code, out, err.count("\n")) == (EXIT_CONFIG, "", 1) and err.startswith("error:")
+
+
+# one small valid experiment document per kind: every field set, one sweep
+# point of two trials
+EXPERIMENTS = {
+    "noise-sweep": [0.1],
+    "speed-sweep": [10.0],
+    "stationary-baseline": [10.0],
+    "velocity-mismatch": [4.0],
+    "success-rate": [50.0],
+    "iteration-profile": [2.0],
+}
+EXPERIMENT_FIELDS = ["kind", "sweep_values", "trials", "base_seed", "modes",
+                     "initial_radius_m", "sigma_m", "delay_step_ms"]
+
+
+def experiment_document(kind: str) -> dict:
+    return {"kind": kind, "sweep_values": EXPERIMENTS[kind], "trials": 2, "base_seed": 5,
+            "modes": ["known-velocity", "one-way"], "initial_radius_m": 50.0, "sigma_m": 0.1,
+            "delay_step_ms": [10.0], "jobs": 1}
+
+
+def run_experiment_document(document) -> tuple[int, str, str]:
+    """run() on ``experiment --config``, the CSV and manifest written to a
+    temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(["experiment", "--output", os.path.join(tmp, "out.csv"), "--config"], document)
+
+
+def experiment_edits():
+    """(kind, field, value): the trial count kept small like the counts
+    above, and never deleted (the default is 40 000 trials), and the sweep
+    values kept small too where they are iteration budgets."""
+    def values(kind, field):
+        if field == "trials":
+            return json_values(COUNTS)
+        numbers = COUNTS if (kind, field) == ("iteration-profile", "sweep_values") else NUMBERS
+        return json_values(numbers) | st.just(MISSING)
+
+    edits = st.tuples(st.sampled_from(sorted(EXPERIMENTS)), st.sampled_from(EXPERIMENT_FIELDS))
+    return edits.flatmap(lambda kf: st.tuples(st.just(kf[0]), st.just(kf[1]), values(*kf)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(experiment_edits())
+def test_experiment_document_exits_cleanly(edit):
+    kind, field, value = edit
+    code, out, err = run_experiment_document(replaced(experiment_document(kind), (field,), value))
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert out == ""
+    if code == EXIT_OK:
+        assert err.startswith("wrote ") and err.count("\n") == 1
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_fisher_matrix_exits_cleanly():
+    # the response delay's Fisher matrix overflows: once a NonFiniteMatrix traceback
+    document = {"kind": "stationary-baseline", "sweep_values": [1.0], "trials": 1,
+                "delay_step_ms": [1e300]}
+    code, out, err = run_experiment_document(document)
     assert (code, out, err.count("\n")) == (EXIT_CONFIG, "", 1) and err.startswith("error:")
