@@ -200,6 +200,10 @@ def cmd_solve(args) -> int:
                 initial.clock_drift_mps = float(init_doc["clock_drift_mps"])
             if "velocity_mps" in init_doc and mode is Mode.ESTIMATED_VELOCITY:
                 initial.velocity = np.asarray(init_doc["velocity_mps"], dtype=float)
+        # checked part by part: a misshapen part is solve's DimensionMismatch
+        parts = (initial.position, initial.clock_offset_m, initial.clock_drift_mps, initial.velocity)
+        if not all(np.isfinite(part).all() for part in parts if part is not None):
+            raise ConfigError("initial iterate must be finite")
     elif scenario is not None:
         offset = 50.0 * direction(np.random.default_rng(seed).random())
         initial = default_initial(mode, scenario.ud.position + offset, measurements)

@@ -2,13 +2,13 @@
 
 Everything here operates on plain float64 numpy arrays. The systems are
 tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
-a few dozen rows), so a call costs more in library dispatch than in
-arithmetic. ``solve_spd_rows``, and ``solve_spd`` as its one-row case,
-therefore call LAPACK's ``dtrtrs`` directly on ``low.T``: numpy's Cholesky factor
-is C-ordered, so its transpose is the Fortran-ordered upper factor LAPACK reads
-without a copy, and these are the exact calls ``scipy.linalg.solve_triangular``
-makes, so results match it bit for bit. ``dpotrs``, ``np.linalg.solve`` and
-scipy's ``dpotrf`` round differently and would change the solver's outputs.
+a few dozen rows), so a call costs more in dispatch than in arithmetic.
+``solve_spd_rows``, and ``solve_spd`` as its one-row case, call LAPACK's
+``dtrtrs`` on ``low.T`` (numpy's C-ordered Cholesky factor transposed: the
+Fortran-ordered upper factor, read without a copy), with trans='T' then 'N':
+the calls ``scipy.linalg.solve_triangular(low.T, b, lower=False)`` makes, so
+results match it bit for bit. ``dpotrs``, ``np.linalg.solve``, scipy's ``dpotrf``
+and numpy substitution round differently and would change the solver's outputs.
 ``invert_spd_rows`` and its one-row case ``invert_spd`` solve against identities.
 """
 
@@ -71,10 +71,10 @@ def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     """Solve a[i] @ x[i] = b[i] for each matrix of a (T, P, P) stack.
 
     A row that cannot be solved gets its exception, which solve_spd raises,
-    in the returned list (None for a solved row) in place of x[i].
-    One batched Cholesky call factors the stack, and again one matrix at a
-    time only when it fails; the triangular solves run per row, as no numpy
-    substitution rounds like dtrtrs.
+    in the returned list (None for a solved row) in place of x[i]. One batched
+    Cholesky call factors the stack (one matrix at a time only when it fails);
+    the dtrtrs pair runs per row over zipped views with its flags by position,
+    as per-row indexing and f2py's keyword parsing cost more than LAPACK's work.
     """
     errors: list = [None] * len(a)
     if not math.isfinite(np.add.reduce(a, axis=None)):  # or a sum past the float range
@@ -101,10 +101,10 @@ def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
             if pivot**2 <= SINGULARITY_RTOL * top:
                 errors[i] = errors[i] or SingularMatrix("pivot below singularity tolerance")
     x = np.empty(b.shape)
-    for i, exc in enumerate(errors):
+    for i, (exc, upper, rhs) in enumerate(zip(errors, low.swapaxes(1, 2), b)):
         if exc is None:
-            y, _ = dtrtrs(low[i].T, b[i], lower=0, trans=1)
-            x[i], info = dtrtrs(low[i].T, y, lower=0, trans=0)
+            y, _ = dtrtrs(upper, rhs, 0, 1)  # lower=0, trans=1: solve upper.T @ y = rhs
+            x[i], info = dtrtrs(upper, y)
             if info != 0:
                 errors[i] = SingularMatrix(f"triangular solve failed (LAPACK info {info})")
     return x, errors

@@ -26,6 +26,8 @@ from .scenario import NoiseSpec, ResponseSchedule, Scenario
 
 # Distances below this are treated as a degenerate device/anchor overlap.
 MIN_RANGE_M = 1e-9
+# numpy's 1.0 / s**2 is a positive finite float exactly for s in this closed range
+REQUEST_SIGMA_RANGE = (7.458340731200208e-155, 1.3407807929942596e154)
 
 
 class DegenerateGeometry(ValueError):
@@ -178,10 +180,11 @@ def weight_rows(sigma_request: np.ndarray, sigma_response) -> np.ndarray:
     sigma_response = [float(s) for s in sigma_response]
     if np.count_nonzero(sigma_request <= 0.0) or any(s <= 0.0 for s in sigma_response):
         raise InvalidNoise("weighting requires strictly positive sigmas")
-    with np.errstate(over="ignore", divide="ignore"):  # the square overflows or underflows
-        request = 1.0 / sigma_request**2
-    if not np.logical_and(request > 0.0, request < np.inf).all():
+    low, high = REQUEST_SIGMA_RANGE  # a NaN sigma makes both reductions NaN
+    if not (np.minimum.reduce(sigma_request, axis=None, initial=low) >= low
+            and np.maximum.reduce(sigma_request, axis=None, initial=high) <= high):
         raise InvalidNoise("request sigma out of range for weighting")
+    request = 1.0 / sigma_request**2
     try:
         response = np.array([[1.0 / s**2] for s in sigma_response])
     except ArithmeticError:  # the square underflows to zero or overflows

@@ -174,6 +174,18 @@ class TestInvertSpdRows:
             invert_spd(np.zeros((0, 0)))
 
 
+def triangular_oracle(a, b):
+    """Each row of a (T, P, P) stack solved by scipy's public triangular solve
+    on numpy's Cholesky factor, transposed to upper: first with trans='T',
+    then with trans='N', the calls the linalg module docstring names."""
+    x = np.empty(b.shape)
+    for i, (matrix, rhs) in enumerate(zip(a, b)):
+        upper = np.linalg.cholesky(matrix).T
+        y = solve_triangular(upper, rhs, trans="T", lower=False, check_finite=False)
+        x[i] = solve_triangular(upper, y, trans="N", lower=False, check_finite=False)
+    return x
+
+
 def outcome(a, b):
     """solve_spd's result, or the type and message of what it raises."""
     try:
@@ -219,6 +231,19 @@ class TestSolveSpdRows:
             "solved", "Matrix is not positive definite", "pivot below singularity tolerance",
             "a contains non-finite entries",
         }
+
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    def test_solved_rows_match_scipy_triangular_solves(self, p):
+        a, b = self.stack(20 + p, p)
+        x, errors = solve_spd_rows(a, b)
+        solved = [i for i, exc in enumerate(errors) if exc is None]
+        a = a[solved]
+        assert len(solved) >= 30
+        assert x[solved].tobytes() == triangular_oracle(a, b[solved]).tobytes()
+        full = triangular_oracle(a, np.repeat(np.eye(p)[None], len(a), axis=0))
+        assert invert_spd_rows(a).tobytes() == (0.5 * (full + full.swapaxes(1, 2))).tobytes()
+        part = triangular_oracle(a, np.repeat(np.eye(p)[None, :, :2], len(a), axis=0))
+        assert invert_spd_rows(a, 2).tobytes() == part.tobytes() == full[:, :, :2].tobytes()
 
     def test_all_solvable_stack_matches_solve_spd(self):
         for p in (3, 4, 6):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toaloc.measurement import (
+    REQUEST_SIGMA_RANGE,
     DegenerateGeometry,
     InvalidMeasurements,
     InvalidNoise,
@@ -127,6 +128,24 @@ class TestBuildWeights:
         sigma = np.array([1e-154, 1.0, 1e154])
         w = weight_vector(NoiseSpec(sigma, 1.0))
         assert np.array_equal(w[:3], 1.0 / sigma**2) and np.isfinite(w).all() and (w > 0.0).all()
+
+    def test_request_sigma_range_is_tight(self):
+        # both ends and their inner neighbours weigh to positive finite floats
+        # by numpy's array square; the outer neighbours and NaN do not, and raise
+        low, high = REQUEST_SIGMA_RANGE
+        inside = np.array([low, np.nextafter(low, 1.0), np.nextafter(high, 0.0), high])
+        outside = [np.nextafter(low, 0.0), np.nextafter(high, np.inf), np.nan]
+        w = weight_rows(inside[None], [1.0])
+        assert w[0, :4].tobytes() == (1.0 / inside**2).tobytes()
+        assert np.isfinite(w).all() and (w > 0.0).all()
+        with np.errstate(over="ignore", divide="ignore"):
+            weights = 1.0 / np.array(outside) ** 2
+        assert not np.logical_and(weights > 0.0, weights < np.inf).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in outside:
+                with pytest.raises(InvalidNoise, match="request sigma out of range"):
+                    weight_rows(np.array([[1.0, sigma]]), [1.0])
 
     def test_rows_have_the_bits_of_one_spec_at_a_time(self):
         # numpy's array square differs from the float pow on about 0.08% of

@@ -1,8 +1,9 @@
 """Property tests of the CLI boundary: whatever a ``verify-theorems --config``
-document holds, and whatever one field of a valid ``solve``, ``crlb``,
-``predict-bias`` or ``experiment --config`` document is replaced by, the
-command exits 0, 1 or 2, and a rejected document gives exactly one
-``error:`` line and no report, never a traceback."""
+document holds, and whatever one field of a valid ``solve`` (in its scenario
+and its measurements form), ``crlb``, ``predict-bias`` or ``experiment
+--config`` document is replaced by, the command exits 0, 1 or 2, and a
+rejected document gives exactly one ``error:`` line and no report, never a
+traceback."""
 
 import contextlib
 import io
@@ -21,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from toaloc import cli  # noqa: E402
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main  # noqa: E402
+from toaloc.measurement import generate  # noqa: E402
 from toaloc.scenario import benchmark_scenario  # noqa: E402
 
 
@@ -111,6 +113,13 @@ VALID = {
 SCENARIO_FIELDS = [("scenario",)] + [("scenario", key) for key in SCENARIO] + [
     ("scenario", parent, key) for parent in ("ud", "noise_m") for key in SCENARIO[parent]
 ]
+# the measurements form of solve: one epoch drawn from the same scenario,
+# with the anchors, solver and initial iterate of VALID
+MEASUREMENTS = json.loads(
+    generate(benchmark_scenario(np.random.default_rng(17)), np.random.default_rng(4)).to_json()
+)
+MEASURED = {"anchors": SCENARIO["anchors"], "measurements": MEASUREMENTS,
+            "solver": VALID["solver"], "initial": VALID["initial"]}
 FIELDS = {
     "solve": SCENARIO_FIELDS + [("mode",), ("seed",), ("truth",), ("solver",), ("initial",)] + [
         (parent, key) for parent in ("solver", "initial", "truth") for key in VALID[parent]
@@ -118,6 +127,11 @@ FIELDS = {
     "crlb": SCENARIO_FIELDS + [("modes",)],
     "predict-bias": SCENARIO_FIELDS + [("assumed_velocity_mps",)],
 }
+MEASURED_FIELDS = [("anchors",), ("measurements",)] + [
+    ("measurements", key) for key in MEASUREMENTS
+] + [("measurements", "sigma_m", key) for key in MEASUREMENTS["sigma_m"]] + [
+    ("initial", key) for key in MEASURED["initial"]
+]
 MISSING = object()  # the field is deleted
 
 
@@ -136,14 +150,18 @@ def replaced(document: dict, field: tuple, value) -> dict:
     return document
 
 
-def edits(command: str):
-    """(field, value) pairs: every field of the command's document equally
-    likely, the solver's iteration budget kept small like the counts above."""
-    def values(field):
-        numbers = COUNTS if field == ("solver", "max_iterations") else NUMBERS
-        return json_values(numbers) | st.just(MISSING)
+# built once: a recursive strategy built anew for every example costs more than the example
+VALUES = {budget: json_values(COUNTS if budget else NUMBERS) | st.just(MISSING)
+          for budget in (False, True)}
 
-    return st.sampled_from(FIELDS[command]).flatmap(lambda f: st.tuples(st.just(f), values(f)))
+
+def edits(fields: list):
+    """(field, value) pairs: every one of ``fields`` equally likely, the
+    solver's iteration budget kept small like the counts above."""
+    def values(field):
+        return VALUES[field == ("solver", "max_iterations")]
+
+    return st.sampled_from(fields).flatmap(lambda f: st.tuples(st.just(f), values(f)))
 
 
 def finite_json(text: str):
@@ -154,13 +172,15 @@ def finite_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def check_edit(command: str, field: tuple, value, mode: str = "estimated-velocity") -> None:
-    code, out, err = run([command], replaced(dict(VALID, mode=mode), field, value))
+def check_edit(
+    command: str, field: tuple, value, mode: str = "estimated-velocity", base: dict = VALID
+) -> None:
+    code, out, err = run([command], replaced(dict(base, mode=mode), field, value))
     assert_clean_exit(code, out, err)
     if code != EXIT_CONFIG:
         assert err == ""
-        # a report on exit 0 holds only finite numbers; a non-converged solve may not
-        report = finite_json(out) if code == EXIT_OK else json.loads(out)
+        # a report, converged or not, holds only finite numbers
+        report = finite_json(out)
         assert isinstance(report, dict)
 
 
@@ -168,19 +188,25 @@ MODES = st.sampled_from(["known-velocity", "estimated-velocity", "stationary", "
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(edits("solve"), MODES)
+@given(edits(FIELDS["solve"]), MODES)
 def test_solve_document_exits_cleanly(edit, mode):
     check_edit("solve", *edit, mode)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(edits("crlb"))
+@given(edits(MEASURED_FIELDS), MODES)
+def test_solve_measurements_document_exits_cleanly(edit, mode):
+    check_edit("solve", *edit, mode, base=MEASURED)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits(FIELDS["crlb"]))
 def test_crlb_document_exits_cleanly(edit):
     check_edit("crlb", *edit)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(edits("predict-bias"))
+@given(edits(FIELDS["predict-bias"]))
 def test_predict_bias_document_exits_cleanly(edit):
     check_edit("predict-bias", *edit)
 
@@ -203,6 +229,10 @@ def test_predict_bias_document_exits_cleanly(edit):
         ("solve", ("solver", "known_velocity_mps"), [float("nan"), 0.0]),
         ("solve", ("truth", "position_m"), [float("nan"), 0.0]),
         ("solve", ("truth", "position_m"), [1e308, 1e308]),
+        ("solve", ("initial", "position_m"), [float("nan"), 0.0]),
+        ("solve", ("initial", "clock_offset_m"), float("nan")),
+        ("solve", ("initial", "clock_drift_mps"), float("inf")),
+        ("solve", ("initial", "velocity_mps"), [float("inf"), 0.0]),
     ],
 )
 def test_known_counterexamples_exit_cleanly(command, field, value):
@@ -243,11 +273,12 @@ def experiment_edits():
     """(kind, field, value): the trial count kept small like the counts
     above, and never deleted (the default is 40 000 trials), and the sweep
     values kept small too where they are iteration budgets."""
+    trials = json_values(COUNTS)
+
     def values(kind, field):
         if field == "trials":
-            return json_values(COUNTS)
-        numbers = COUNTS if (kind, field) == ("iteration-profile", "sweep_values") else NUMBERS
-        return json_values(numbers) | st.just(MISSING)
+            return trials
+        return VALUES[(kind, field) == ("iteration-profile", "sweep_values")]
 
     edits = st.tuples(st.sampled_from(sorted(EXPERIMENTS)), st.sampled_from(EXPERIMENT_FIELDS))
     return edits.flatmap(lambda kf: st.tuples(st.just(kf[0]), st.just(kf[1]), values(*kf)))
