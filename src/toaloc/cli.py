@@ -230,9 +230,15 @@ def cmd_solve(args) -> int:
                     abs(est.clock_offset_m - float(truth["clock_offset_m"]))
                 )
         errors = [out[key] for key in ("position_error_m", "clock_offset_error_m") if key in out]
-        # a finite estimate's error is finite unless the truth is out of float range
+        # a finite estimate's error overflows when the truth is out of float
+        # range on its own, or else when the estimate is too far from it
         if np.isfinite(est.to_array()).all() and not np.isfinite(errors).all():
-            raise ConfigError("truth out of float range for the error report")
+            own = [np.linalg.norm(np.asarray(truth["position_m"], dtype=float)),
+                   float(truth.get("clock_offset_m", 0.0))]  # both were read above
+            if not np.isfinite(own).all():
+                raise ConfigError("truth out of float range for the error report")
+            raise ConfigError("estimate too far from the truth for the error report; "
+                              "check the initial iterate")
     _emit(json.dumps(out, indent=2), args.output)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

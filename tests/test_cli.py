@@ -8,6 +8,7 @@ import pytest
 
 from toaloc import cli
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
+from toaloc.estimator import Mode
 from toaloc.scenario import benchmark_scenario
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "noisefree.json")
@@ -118,6 +119,22 @@ class TestSolve:
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == EXIT_NOT_CONVERGED
         assert json.loads(capsys.readouterr().out)["converged"] is False
+
+    @pytest.mark.parametrize("mode", [mode.value for mode in Mode])
+    @pytest.mark.parametrize("start", [[1e308, 1e308], [1e200, 0.0]])
+    def test_huge_start_blames_the_estimate_not_the_truth(self, tmp_path, capsys, mode, start):
+        # the truth is the scenario's own finite position; the estimate
+        # stays out at the start and its error overflows
+        config, _ = write_scenario_config(tmp_path, mode=mode)
+        doc = json.loads(Path(config).read_text())
+        doc["initial"] = {"position_m": start}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: estimate too far from the truth")
+        assert "initial iterate" in captured.err
 
 
     def test_non_finite_measurement_is_config_error(self, tmp_path, capsys):

@@ -47,6 +47,40 @@ class TestDeriveSeed:
             assert 0 <= s < 2**64
 
 
+# a seed's 64 bits as SeedSequence reads them: one uint32 word below 2**32,
+# two from there on, at the extremes of both
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestBlockGenerators:
+    def seeds(self) -> list[int]:
+        random = np.random.default_rng(8).integers(0, 2**64, 3000, dtype=np.uint64).tolist()
+        derived = [derive_seed(20260823, s, t) for s in range(3) for t in range(300)]
+        return EDGE_SEEDS + derived + random
+
+    def test_seed_states_match_seed_sequence(self):
+        seeds = self.seeds()
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        assert np.array_equal(montecarlo._seed_states(seeds), expected)
+
+    @pytest.mark.parametrize(
+        "length", [1, montecarlo._HASHED_BLOCK - 1, montecarlo._HASHED_BLOCK, 128]
+    )
+    def test_streams_match_default_rng(self, length):
+        # either side of the crossover, each generator gives the raw doubles
+        # and normals the block draws, in its order, that default_rng gives
+        seeds = self.seeds()[:length]
+        u, z = np.empty((2, length, 7)), np.empty((2, length, 16))
+        for row, rng in enumerate(montecarlo._generators(seeds)):
+            rng.random(out=u[0, row])
+            rng.standard_normal(out=z[0, row])
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.random(out=u[1, row])
+            rng.standard_normal(out=z[1, row])
+        assert u[0].tobytes() == u[1].tobytes() and z[0].tobytes() == z[1].tobytes()
+
+
 def untimed(record) -> list[str]:
     """Each trial's row of a record's columns without the solver wall time,
     as comparable text: the repr of the per-label outcome dicts, with Python
@@ -410,7 +444,11 @@ RECORD_GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("block,jobs", [(1, 1), (7, 1), (128, 1), (1, 2), (7, 2), (128, 2)])
+# block sizes either side of the seed hash's crossover, _HASHED_BLOCK
+BLOCK_SIZES = sorted({1, 7, montecarlo._HASHED_BLOCK - 1, montecarlo._HASHED_BLOCK, 128})
+
+
+@pytest.mark.parametrize("block,jobs", [(block, jobs) for jobs in (1, 2) for block in BLOCK_SIZES])
 @pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
 def test_records_match_goldens_for_any_block_size(name, block, jobs, monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK", block)

@@ -3,7 +3,9 @@ document holds, and whatever one field of a valid ``solve`` (in its scenario
 and its measurements form), ``crlb``, ``predict-bias`` or ``experiment
 --config`` document is replaced by, the command exits 0, 1 or 2, and a
 rejected document gives exactly one ``error:`` line and no report, never a
-traceback."""
+traceback. Below the CLI: ``estimator.solve`` on random geometries returns a
+finite report or raises a documented error, and the Monte-Carlo block's
+seed hash gives ``default_rng``'s streams for any 64-bit seeds."""
 
 import contextlib
 import io
@@ -20,10 +22,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from toaloc import cli  # noqa: E402
+from toaloc import cli, montecarlo  # noqa: E402
 from toaloc.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main  # noqa: E402
+from toaloc.estimator import InsufficientMeasurements, Mode, SolverConfig  # noqa: E402
+from toaloc.estimator import default_initial, solve  # noqa: E402
 from toaloc.measurement import generate  # noqa: E402
-from toaloc.scenario import benchmark_scenario  # noqa: E402
+from toaloc.scenario import AnchorSet, NoiseSpec, ResponseSchedule, Scenario  # noqa: E402
+from toaloc.scenario import UdState, benchmark_scenario  # noqa: E402
 
 
 # quotes, a backslash, a newline, non-ASCII and a lone surrogate among plain
@@ -233,6 +238,8 @@ def test_predict_bias_document_exits_cleanly(edit):
         ("solve", ("initial", "clock_offset_m"), float("nan")),
         ("solve", ("initial", "clock_drift_mps"), float("inf")),
         ("solve", ("initial", "velocity_mps"), [float("inf"), 0.0]),
+        ("solve", ("initial", "position_m"), [1e308, 1e308]),
+        ("solve", ("initial", "position_m"), [1e200, 0.0]),
     ],
 )
 def test_known_counterexamples_exit_cleanly(command, field, value):
@@ -303,3 +310,68 @@ def test_overflowing_fisher_matrix_exits_cleanly():
                 "delay_step_ms": [1e300]}
     code, out, err = run_experiment_document(document)
     assert (code, out, err.count("\n")) == (EXIT_CONFIG, "", 1) and err.startswith("error:")
+
+
+GEOMETRIES = st.sampled_from(["spread", "near-collinear", "near-anchor"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(Mode)), st.integers(2, 6), st.sampled_from([2, 3]), GEOMETRIES,
+       st.floats(-6.0, 300.0), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_solve_on_random_geometries(mode, m, n, geometry, log_radius, budget, seed):
+    # anchors spread out or within 1e-9 m of a line, the device anywhere or
+    # within 1e-6 m of an anchor, the start up to 1e300 m away: solve returns
+    # a report holding only finite numbers, or raises a documented error.
+    # Any warning fails but numpy's overflow warnings, which an iterate
+    # beyond about 1e153 m gives before its row is retired as not finite
+    rng = np.random.default_rng(seed)
+    if geometry == "near-collinear":
+        axis = rng.standard_normal(n)
+        anchors = np.outer(rng.uniform(-500.0, 500.0, m), axis / np.linalg.norm(axis))
+        anchors += 1e-9 * rng.uniform(-1.0, 1.0, (m, n))
+    else:
+        anchors = rng.uniform(-500.0, 500.0, (m, n))
+    device = rng.uniform(-300.0, 300.0, n)
+    if geometry == "near-anchor":
+        device = anchors[0] + 1e-6 / n * rng.uniform(-1.0, 1.0, n)
+    velocity = rng.uniform(-50.0, 50.0, n)
+    ud = UdState(device, velocity, rng.uniform(-1.0, 1.0), rng.uniform(-1e-5, 1e-5))
+    scenario = Scenario(AnchorSet(anchors), ud, ResponseSchedule(0.01 * np.arange(1, m + 1)),
+                        NoiseSpec.uniform(0.1, m))
+    measurements = generate(scenario, rng)
+    away = rng.standard_normal(n)
+    start = device + 10.0**log_radius * away / np.linalg.norm(away)
+    known = velocity if mode is Mode.KNOWN_VELOCITY else None
+    config = SolverConfig(max_iterations=budget, known_velocity_mps=known)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        try:
+            report = solve(measurements, scenario.anchors, config,
+                           default_initial(mode, start, measurements))
+        except InsufficientMeasurements:
+            assert (m if mode is Mode.ONE_WAY else 2 * m) < mode.param_dim(n)
+            return
+    numbers = [*report.estimate.to_array(), *(x for step in report.trace for x in step)]
+    assert np.isfinite(numbers).all()
+    assert len(report.trace) == report.iterations_used <= budget
+    assert not report.converged or report.failure_reason is None
+
+
+SEEDS = st.lists(st.integers(0, 2**64 - 1), max_size=3 * montecarlo._HASHED_BLOCK)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SEEDS)
+def test_block_generators_draw_default_rng_streams(seeds):
+    # whichever side of the block-length crossover: the raw doubles and
+    # normals of each seed's default_rng
+    draws = []
+    for rng in montecarlo._generators(seeds):
+        draws.append((rng.random(3).tolist(), rng.standard_normal(5).tolist()))
+    expected = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expected.append((rng.random(3).tolist(), rng.standard_normal(5).tolist()))
+    assert draws == expected
+    states = [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in seeds]
+    assert montecarlo._seed_states(seeds).tolist() == states
