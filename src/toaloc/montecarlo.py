@@ -119,7 +119,8 @@ _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 # Blocks of at least this many trials hash their seeds together; shorter
 # ones seed default_rng per trial. Measured crossover: 6 to 8 trials.
 _HASHED_BLOCK = 8
-# the one bit generator that hashed blocks reseed per trial, and its Generator
+# the one bit generator that hashed blocks reseed per trial, and its
+# Generator: blocks of one process must not draw from it concurrently
 _PCG = np.random.PCG64(0)
 _SHARED = np.random.Generator(_PCG)
 
