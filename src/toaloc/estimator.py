@@ -237,11 +237,13 @@ class _Rows:
     """The epochs of a batch still iterating, their row numbers in the batch,
     and the Jacobians they reuse across iterations."""
 
-    ARRAYS = ("anchors", "delays", "observed", "weights", "theta", "velocity", "index", "g")
+    ARRAYS = ("anchors", "delays", "observed", "weights", "theta", "velocity", "threshold",
+              "index", "g")
     __slots__ = ARRAYS + ("shift", "done")
 
     def __init__(self, mode: Mode, *arrays):
-        """arrays: solve_batch's anchors, delays, observed, weights, initial and velocity."""
+        """arrays: solve_batch's anchors, delays, observed, weights, initial,
+        velocity and threshold (None for a step without a convergence test)."""
         for name, value in zip(self.ARRAYS, arrays + (np.arange(len(arrays[4])), None)):
             setattr(self, name, value)
         self.shift = None  # forward's v*dt, when it is fixed over the iterations
@@ -332,7 +334,7 @@ def gauss_newton_step(
     the M request rows for one-way data. This is the step solve_batch takes,
     on one epoch."""
     velocity = _resolve_velocity(theta, config.known_velocity_mps)
-    rows = _Rows(*_one_epoch(theta, measurements, anchors, velocity))
+    rows = _Rows(*_one_epoch(theta, measurements, anchors, velocity), None)
     out = BatchEstimate.empty(*rows.theta.shape)
     delta, res_norm = _step(theta.mode, theta.n_dim, rows, out)
     if out.failures[0] is not None:
@@ -367,19 +369,20 @@ def solve_batch(
     weights: np.ndarray,
     initial: np.ndarray,
     velocity: np.ndarray,
-    threshold: float,
+    threshold: np.ndarray,
     max_iterations: int,
 ) -> BatchEstimate:
     """Gauss-Newton on T epochs of one mode, one row each: every row ends with
     the bits, iteration count, trace and failure that solve gives its epoch.
 
     anchors (T, M, N), delays (T, M), observed and weights (T, R) for the R
-    rows the mode fits, initial (T, P), and velocity (T, N) the velocity the
+    rows the mode fits, initial (T, P), velocity (T, N) the velocity the
     model assumes (zeros but for the known-velocity mode; estimated-velocity
-    reads the iterate's). The inputs are trusted: solve checks its own.
+    reads the iterate's), and threshold (T,) each row's convergence
+    threshold. The inputs are trusted: solve checks its own.
     """
     n = anchors.shape[-1]
-    rows = _Rows(mode, anchors, delays, observed, weights, initial, velocity)
+    rows = _Rows(mode, anchors, delays, observed, weights, initial, velocity, threshold)
     out = BatchEstimate.empty(*initial.shape)
     if not math.isfinite(np.add.reduce(initial, axis=None)):
         finite = np.isfinite(initial).all(axis=1)
@@ -392,9 +395,10 @@ def solve_batch(
         rows.done += 1
         # the position step norm by np.linalg.norm's ddot
         step = [math.sqrt(x) for x in (delta[:, None, :n] @ delta[:, :n, None]).ravel().tolist()]
-        for row, step_norm, res in zip(rows.index.tolist(), step, res_norm):
-            out.traces[row].append((step_norm, res))
-        done = [x < threshold for x in step]
+        done = []  # per row, the step norm below the row's threshold
+        for row, x, res, limit in zip(rows.index.tolist(), step, res_norm, rows.threshold.tolist()):
+            out.traces[row].append((x, res))
+            done.append(x < limit)
         if any(done):
             rows.retire(done, out, converged=True)
     if rows.index.size:
@@ -441,8 +445,9 @@ def solve(
         # sigma/10 with sigma the smallest measurement sigma; weights are 1/sigma^2.
         threshold = 1.0 / math.sqrt(measurements.weights.max()) / 10.0
 
-    out = solve_batch(
-        *_one_epoch(initial, measurements, anchors, velocity), threshold, config.max_iterations
+    out = solve_batch(  # np.array([x]) costs less than np.full on this per-epoch path
+        *_one_epoch(initial, measurements, anchors, velocity), np.array([threshold]),
+        config.max_iterations,
     )
     iterations = out.iterations[0]
     return EstimateReport(

@@ -7,13 +7,18 @@ profiling. Per-trial seeds are derived from (base seed, sweep index, trial
 index) with a splitmix64-style mix, so results are byte-identical regardless
 of how trials are scheduled across workers.
 
+A block is one range of trial indices taken at every sweep point: each of
+its outcome labels is one batched solve and one batched CRLB over all those
+points' rows, or one per point for the iteration profile, which times each
+budget's solve by itself.
+
 Each trial draws from the stream ``np.random.default_rng(seed)`` would give.
-A block of at least ``_HASHED_BLOCK`` trials does not build a generator per
-trial: it hashes all its seeds at once as ``SeedSequence`` does (NEP 19),
-in numpy over uint32 words, and reseeds one shared ``PCG64`` per trial as
-its ``srandom`` does (O'Neill 2014). Shorter blocks, one-trial units among
-them, seed ``default_rng`` per trial: below that length the hash's fixed
-cost is more than it saves.
+A block of at least ``_HASHED_BLOCK`` seeds (trials times sweep points)
+does not build a generator per trial: it hashes all its seeds at once as
+``SeedSequence`` does (NEP 19), in numpy over uint32 words, and reseeds one
+shared ``PCG64`` per trial as its ``srandom`` does (O'Neill 2014). Shorter
+blocks, one-trial units among them, seed ``default_rng`` per trial: below
+that length the hash's fixed cost is more than it saves.
 """
 
 from __future__ import annotations
@@ -34,15 +39,16 @@ from . import analysis
 from .estimator import Mode, default_initial, solve, solve_batch  # noqa: F401
 from .measurement import generate, synthesize  # noqa: F401
 from .scenario import SPEED_OF_LIGHT, UdState, benchmark_parts, benchmark_scenario  # noqa: F401
-from .scenario import benchmark_states, direction
+from .scenario import BENCHMARK_ANCHORS_M, benchmark_states, direction
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 
-# Trials per in-process block: each outcome label of a block is one batched
-# solve and one batched CRLB. Larger blocks gain little speed, and time the
-# points of the iteration profile further apart.
+# Trials per block, taken at every sweep point: each outcome label of a
+# block is one batched solve and one batched CRLB over all its points' rows.
+# Larger blocks gain little speed, and time the points of the iteration
+# profile further apart.
 BLOCK = 128
 
 NOISE_SWEEP = "noise-sweep"
@@ -116,8 +122,9 @@ _PAD = _hashmix(np.zeros((2, 1), np.uint32), _MIX[:, 2:4])
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Blocks of at least this many trials hash their seeds together; shorter
-# ones seed default_rng per trial. Measured crossover: 6 to 8 trials.
+# Blocks of at least this many seeds (trials times sweep points) hash them
+# together; shorter ones seed default_rng per trial. Measured crossover: 6
+# to 8 seeds.
 _HASHED_BLOCK = 8
 # the one bit generator that hashed blocks reseed per trial, and its
 # Generator: blocks of one process must not draw from it concurrently
@@ -244,93 +251,122 @@ class TrialRecord:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
+def _join(arrays):
+    """Arrays of consecutive rows joined (None stays None)."""
+    return None if arrays[0] is None else np.concatenate(arrays)
+
+
 def _concat(records: list[TrialRecord], label: str) -> ModeOutcome:
     """One label's columns of consecutive records, joined in record order."""
     columns = [[getattr(r.outcomes[label], f.name) for r in records] for f in fields(ModeOutcome)]
-    return ModeOutcome(*(None if c[0] is None else np.concatenate(c) for c in columns))
+    return ModeOutcome(*map(_join, columns))
 
 
-def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> TrialRecord:
-    """Execute a block of seeded trials at one sweep point: one record, its
-    columns in the order of ``trial_indices``.
+def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRecord]:
+    """Execute a block of seeded trials at every sweep point of ``points``:
+    one record per point, its columns in the order of ``trial_indices``.
 
     Only the draw and the bias prediction (of a label with an assumed
-    velocity) are per trial: each trial's generator fills its row of raw
-    variates in the order benchmark_scenario, the start angle, generate (per
-    response-delay step) and the deviation angle draw them. Everything else,
-    solves included, is computed for the whole block; the columns do not
-    depend on the block's size.
+    velocity) are per trial: each (point, trial) generator fills its row of
+    raw variates in the order benchmark_scenario, the start angle, generate
+    (per response-delay step) and the deviation angle draw them. Truths and
+    measurements are per point; each label's solve and CRLB take every
+    point's rows at once (one point at a time for the iteration profile), and
+    a one-point block joins no arrays. The columns depend neither on the
+    block's size nor on the points that share it.
     """
-    sweep_value = config.sweep_values[sweep_index]
     # the iteration profile varies only the solver budget, so every sweep
     # point replays the same trials to make the per-budget RMSEs paired
-    seed_sweep = 0 if config.kind == ITERATION_PROFILE else sweep_index
-
-    sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
-    speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
-    radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
-    # the iteration profile forces exactly max_iter iterations
     profile = config.kind == ITERATION_PROFILE
-    threshold = 1e-300 if profile else sigma / 10.0
-    max_iter = int(sweep_value) if profile else 10
-
     stationary, mismatch = config.kind == STATIONARY_BASELINE, config.kind == VELOCITY_MISMATCH
-    # anchors, schedule and noise of each epoch a trial synthesizes: the
-    # stationary baseline has one per response-delay step in its grid
-    parts = (
-        [benchmark_parts(sigma, step_ms * 1e-3) for step_ms in config.delay_step_ms]
-        if stationary else [benchmark_parts(sigma)]
-    )
-    m, n = parts[0][0].positions.shape
     t = len(trial_indices)
-    u = np.empty((t, 8 if mismatch else 7))
-    z = np.empty((t, len(parts), 2 * m))
-    seeds = [derive_seed(config.base_seed, seed_sweep, trial) for trial in trial_indices]
+    seeds = [derive_seed(config.base_seed, 0 if profile else i, trial)
+             for i in points for trial in trial_indices]
+    u = np.empty((len(seeds), 8 if mismatch else 7))
+    z = np.empty((len(seeds), len(config.delay_step_ms) if stationary else 1,
+                  2 * len(BENCHMARK_ANCHORS_M)))
     for row, rng in enumerate(_generators(seeds)):
         rng.random(out=u[row, :7])
         rng.standard_normal(out=z[row])
         if mismatch:
             rng.random(out=u[row, 7:])
 
-    position, velocity, offset, drift = benchmark_states(u[:, :6], speed)
-    start = position + radius * direction(u[:, 6])
-    offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
-    # each epoch as the block's anchors, delays and weights (repeated per row) and measurements
-    epochs = []
-    for k, (anchors, schedule, noise) in enumerate(parts):
-        stacked, weights = synthesize(
-            anchors.positions, schedule.delays, position, velocity, offset_m[:, None],
-            drift_mps[:, None], noise, z[:, k],
+    # per outcome label, and per point for the iteration profile: the mode,
+    # the budget and each point's solver, CRLB and prediction inputs
+    groups = {}
+    for p, sweep_index in enumerate(points):
+        sweep_value = config.sweep_values[sweep_index]
+        sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
+        speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
+        radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
+        # the iteration profile forces exactly max_iter iterations
+        threshold = np.array([1e-300 if profile else sigma / 10.0] * t)
+        max_iter = int(sweep_value) if profile else 10
+        # anchors, schedule and noise of each epoch a trial synthesizes: the
+        # stationary baseline has one per response-delay step in its grid
+        parts = (
+            [benchmark_parts(sigma, step_ms * 1e-3) for step_ms in config.delay_step_ms]
+            if stationary else [benchmark_parts(sigma)]
         )
-        repeat = [x[None].repeat(t, 0) for x in (anchors.positions, schedule.delays, weights)]
-        epochs.append((*repeat, stacked))
+        m, n = parts[0][0].positions.shape
+        u_p, z_p = (u, z) if len(points) == 1 else (u[p * t : (p + 1) * t], z[p * t : (p + 1) * t])
+        position, velocity, offset, drift = benchmark_states(u_p[:, :6], speed)
+        start = position + radius * direction(u_p[:, 6])
+        offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
+        # each epoch as the block's anchors, delays and weights (repeated per row) and measurements
+        epochs = []
+        for k, (anchors, schedule, noise) in enumerate(parts):
+            stacked, weights = synthesize(
+                anchors.positions, schedule.delays, position, velocity, offset_m[:, None],
+                drift_mps[:, None], noise, z_p[:, k],
+            )
+            repeat = [x[None].repeat(t, 0) for x in (anchors.positions, schedule.delays, weights)]
+            epochs.append((*repeat, stacked))
 
-    # each label's mode, epoch, velocity for the solver (zeros if None) and
-    # assumed velocity for the bias predictor (no prediction if None)
-    if stationary:  # both estimators on the same truth at every response-delay step
-        runs = {}
-        for k, step_ms in enumerate(config.delay_step_ms):
-            runs[f"stationary@dt{step_ms:g}ms"] = (Mode.STATIONARY, k, None, np.zeros((t, n)))
-            runs[f"known-velocity@dt{step_ms:g}ms"] = (Mode.KNOWN_VELOCITY, k, velocity, None)
-    elif mismatch:
-        # the known-velocity estimator fed a velocity deviated from the truth
-        # in a random direction by the swept norm
-        assumed = velocity + sweep_value * direction(u[:, 7])
-        runs = {Mode.KNOWN_VELOCITY.value: (Mode.KNOWN_VELOCITY, 0, assumed, assumed)}
-    else:
-        runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
-                for mode in config.modes}
+        # each label's mode, epoch, velocity for the solver (zeros if None) and
+        # assumed velocity for the bias predictor (no prediction if None)
+        if stationary:  # both estimators on the same truth at every response-delay step
+            runs = {}
+            for k, step_ms in enumerate(config.delay_step_ms):
+                runs[f"stationary@dt{step_ms:g}ms"] = (Mode.STATIONARY, k, None, np.zeros((t, n)))
+                runs[f"known-velocity@dt{step_ms:g}ms"] = (Mode.KNOWN_VELOCITY, k, velocity, None)
+        elif mismatch:
+            # the known-velocity estimator fed a velocity deviated from the truth
+            # in a random direction by the swept norm
+            assumed = velocity + sweep_value * direction(u_p[:, 7])
+            runs = {Mode.KNOWN_VELOCITY.value: (Mode.KNOWN_VELOCITY, 0, assumed, assumed)}
+        else:
+            runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
+                    for mode in config.modes}
 
-    record = TrialRecord()
-    for label, (mode, k, known, assumed) in runs.items():
-        anchors_m, delays, weights, stacked = epochs[k]
-        fitted = m if mode is Mode.ONE_WAY else 2 * m
-        weights = weights[:, :fitted]
-        # default_initial's iterate: the start, the first response as clock
-        # offset, zero drift and velocity
-        initial = np.zeros((t, mode.param_dim(n)))
-        initial[:, :n] = start
-        initial[:, n] = stacked[:, m]
+        for label, (mode, k, known, assumed) in runs.items():
+            anchors_m, delays, weights, stacked = epochs[k]
+            fitted = m if mode is Mode.ONE_WAY else 2 * m
+            # default_initial's iterate: the start, the first response as clock
+            # offset, zero drift and velocity
+            initial = np.zeros((t, mode.param_dim(n)))
+            initial[:, :n] = start
+            initial[:, n] = stacked[:, m]
+            predicted = (None, None)
+            if assumed is not None:
+                anchors, schedule, noise = parts[k]
+                truths = map(UdState, position, velocity, offset, drift)
+                biases = [analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, v)
+                          for ud, v in zip(truths, assumed)]
+                predicted = (np.array([b.predicted_rmse_position for b in biases]),
+                             np.array([b.predicted_rmse_clock for b in biases]))
+            group = groups.setdefault((label, p if profile else 0), (mode, max_iter, []))
+            group[2].append((
+                anchors_m, delays, stacked[:, :fitted], weights[:, :fitted], initial,
+                np.zeros((t, n)) if known is None else known, threshold, position, velocity,
+                offset_m, *predicted,
+            ))
+
+    records = [TrialRecord() for _ in points]
+    for (label, first), (mode, max_iter, inputs) in groups.items():
+        (anchors_m, delays, observed, weights, initial, known, threshold, position, velocity,
+         offset_m, pred_pos, pred_clk) = inputs[0] if len(inputs) == 1 else map(_join, zip(*inputs))
+        rows = len(initial)
         # the cyclic collector is paused for the timed solve only, as timeit
         # does, so that a pass over the run's live records is charged to no
         # trial; it runs at the next allocation after the solve. A caller
@@ -340,10 +376,9 @@ def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> Tri
         try:
             t0 = time.perf_counter()
             est = solve_batch(
-                mode, anchors_m, delays, stacked[:, :fitted], weights, initial,
-                np.zeros((t, n)) if known is None else known, threshold, max_iter,
+                mode, anchors_m, delays, observed, weights, initial, known, threshold, max_iter
             )
-            elapsed = (time.perf_counter() - t0) / t  # every trial is charged the mean
+            elapsed = (time.perf_counter() - t0) / rows  # every trial is charged the mean
         finally:
             if collecting:
                 gc.enable()
@@ -355,12 +390,7 @@ def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> Tri
         err = est.theta[:, :n] - position
         iterations = np.array(est.iterations)
         failed = np.array([exc is not None for exc in est.failures])
-        biases = []
-        if assumed is not None:
-            anchors, schedule, noise = parts[k]
-            biases = [analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, v)
-                      for ud, v in zip(map(UdState, position, velocity, offset, drift), assumed)]
-        record.outcomes[label] = ModeOutcome(
+        outcome = ModeOutcome(
             # a profiled run spends its whole iteration budget by
             # construction; completing it counts as converged
             converged=(np.where(failed, est.converged, iterations == max_iter) if profile
@@ -368,24 +398,28 @@ def _run_block(config: ExperimentConfig, sweep_index: int, trial_indices) -> Tri
             iterations=iterations,
             pos_err_m=np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0],  # np.linalg.norm's ddot
             clk_err_m=np.abs(est.theta[:, n] - offset_m),
-            solve_time_s=np.full(t, elapsed),
+            solve_time_s=np.full(rows, elapsed),
             # squares of Python floats: numpy's array square rounds some differently
             crlb_pos_sq=np.array([c**2 for c in pos_crlb.tolist()]),
             crlb_clk_sq=np.array([c**2 for c in clk_crlb.tolist()]),
-            pred_rmse_pos=np.array([b.predicted_rmse_position for b in biases]) if biases else None,
-            pred_rmse_clk=np.array([b.predicted_rmse_clock for b in biases]) if biases else None,
+            pred_rmse_pos=pred_pos,
+            pred_rmse_clk=pred_clk,
             failed=failed,
         )
-    return record
+        for q in range(len(inputs)):  # each point's rows of the joined columns
+            records[first + q].outcomes[label] = outcome if len(inputs) == 1 else ModeOutcome(
+                *(c if c is None else c[q * t : (q + 1) * t] for c in vars(outcome).values())
+            )
+    return records
 
 
 def run_trial(config: ExperimentConfig, sweep_index: int, trial_index: int) -> TrialRecord:
     """Execute one seeded trial at one sweep point: the record of a block of
-    one trial, every column of length one.
+    one trial at one point, every column of length one.
 
     Solver failures are recorded in the outcome, never raised.
     """
-    return _run_block(config, sweep_index, [trial_index])
+    return _run_block(config, (sweep_index,), (trial_index,))[0]
 
 
 @dataclass(frozen=True)
@@ -453,18 +487,31 @@ def aggregate(
     )
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for numpy's and scipy's OpenBLAS copies,
+    which forked workers would oversubscribe the CPUs with; these tiny
+    systems gain nothing from more. A copy without the setter is left alone."""
+    import ctypes
+    import numpy.linalg._umath_linalg as numpy_blas  # each is linked to its package's copy
+    import scipy.linalg._flapack as scipy_blas
+
+    for module, setter in ((numpy_blas, "scipy_openblas_set_num_threads64_"),
+                           (scipy_blas, "scipy_openblas_set_num_threads")):
+        set_threads = getattr(ctypes.CDLL(module.__file__), setter, None)
+        if set_threads is not None:
+            set_threads(1)
+
+
 def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
     """One record per block of trials at each sweep point of ``points``, in order.
 
-    Trials run in blocks of at most BLOCK, one _run_block call per (block,
-    point) item in block-major order, in-process or in pool chunks, about 8
-    per worker: one pool serves every point. A chunk holds whole blocks, so
-    each block runs its points back to back. The columns do not depend on
-    ``jobs`` or on the block size."""
+    Trials run in blocks of at most BLOCK, each block one _run_block call
+    that takes its trials at every point of ``points``, in-process or in
+    pool chunks of whole blocks, about 8 per worker: one pool serves every
+    point. The columns do not depend on ``jobs`` or on the block size."""
     blocks = [range(first, min(first + BLOCK, config.trials))
               for first in range(0, config.trials, BLOCK)]
-    items = ([config] * (len(blocks) * len(points)), [i for _ in blocks for i in points],
-             [block for block in blocks for _ in points])
+    items = ([config] * len(blocks), [points] * len(blocks), blocks)
     if config.jobs == 1:
         results = list(map(_run_block, *items))
     else:
@@ -472,9 +519,9 @@ def _run_points(config: ExperimentConfig, points) -> list[list[TrialRecord]]:
 
         per_chunk = max(1, len(blocks) // (config.jobs * 8))
         workers = min(config.jobs, -(-len(blocks) // per_chunk), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block, *items, chunksize=per_chunk * len(points)))
-    return [results[k :: len(points)] for k in range(len(points))]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            results = list(pool.map(_run_block, *items, chunksize=per_chunk))
+    return [list(records) for records in zip(*results)]
 
 
 def run_sweep_point(config: ExperimentConfig, sweep_index: int) -> list[TrialRecord]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -445,17 +446,19 @@ def test_solve_golden():
     assert digest.hexdigest() == SOLVE_GOLDEN
 
 
-@pytest.mark.parametrize("mode", ALL_MODES)
-def test_batch_rows_equal_their_single_epoch_reports(mode):
-    # one batch holding converging, budget-limited and failing rows: each row
-    # must end exactly as solve leaves its epoch alone
-    epochs = list(seeded_epochs())
-    config = SolverConfig(max_iterations=6, convergence_threshold_m=0.01)
-    reports, initial, velocity = [], [], []
-    for _, sc, meas, start in epochs:
+def check_batch_against_solve(mode, budget, limits, count=300):
+    """One batch over seeded epochs, epoch e with convergence threshold
+    limits[e % len(limits)] (None: sigma/10 as solve derives it), holding
+    converging, budget-limited and failing rows: each row must end exactly
+    as solve leaves its epoch alone."""
+    epochs = list(seeded_epochs(count))
+    thresholds, reports, initial, velocity = [], [], [], []
+    for e, sc, meas, start in epochs:
         known = sc.ud.velocity if mode is Mode.KNOWN_VELOCITY else np.zeros(2)
         guess = default_initial(mode, start, meas)
-        reports.append(solve(meas, sc.anchors, SolverConfig(6, 0.01, known), guess))
+        limit = limits[e % len(limits)]
+        reports.append(solve(meas, sc.anchors, SolverConfig(budget, limit, known), guess))
+        thresholds.append(1.0 / math.sqrt(meas.weights.max()) / 10.0 if limit is None else limit)
         initial.append(guess.to_array())
         velocity.append(known)
     rows = 4 if mode is Mode.ONE_WAY else 8
@@ -467,8 +470,8 @@ def test_batch_rows_equal_their_single_epoch_reports(mode):
         np.array([meas.weights[:rows] for _, _, meas, _ in epochs]),
         np.array(initial),
         np.array(velocity),
-        config.convergence_threshold_m,
-        config.max_iterations,
+        np.array(thresholds),
+        budget,
     )
     assert {r.failure_reason is None for r in reports} == {True, False}
     assert {r.converged for r in reports} == {True, False}
@@ -478,3 +481,18 @@ def test_batch_rows_equal_their_single_epoch_reports(mode):
         assert out.converged[i] == report.converged
         assert out.traces[i] == report.trace
         assert out.failure_reason(i) == report.failure_reason
+    return reports
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_batch_rows_equal_their_single_epoch_reports(mode):
+    check_batch_against_solve(mode, 6, (0.01,))
+
+
+@pytest.mark.parametrize("budget", [3, 6, 10])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_batch_rows_with_their_own_thresholds_equal_their_single_epoch_reports(mode, budget):
+    # thresholds from below any step to above most, and sigma/10 of each
+    # epoch's noise level, mixed in one batch
+    reports = check_batch_against_solve(mode, budget, (None, 1e-300, 1e-3, 0.05, 2.0), 200)
+    assert len({r.iterations_used for r in reports if r.converged}) > 1

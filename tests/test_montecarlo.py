@@ -1,9 +1,12 @@
 import concurrent.futures
 import csv
+import ctypes
 import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -444,7 +447,8 @@ RECORD_GOLDENS = {
 }
 
 
-# block sizes either side of the seed hash's crossover, _HASHED_BLOCK
+# block sizes either side of the seed hash's crossover, _HASHED_BLOCK seeds:
+# at two sweep points, blocks of 1 trial seed default_rng, and 7 and up hash
 BLOCK_SIZES = sorted({1, 7, montecarlo._HASHED_BLOCK - 1, montecarlo._HASHED_BLOCK, 128})
 
 
@@ -465,13 +469,17 @@ def test_records_match_goldens_for_any_block_size(name, block, jobs, monkeypatch
 
 
 def test_run_trial_is_a_block_of_one():
+    # a block at both sweep points gives each point the rows of its trials
+    # run one at a time
     config = RECORD_GOLDENS["noise-sweep"][0]
-    block = montecarlo._run_block(config, 1, range(10, 20))
-    trials = [run_trial(config, 1, t) for t in range(10, 20)]
-    for record in trials:
-        for outcome in record.outcomes.values():
-            assert all(len(column) == 1 for column in vars(outcome).values() if column is not None)
-    assert untimed(block) == [row for record in trials for row in untimed(record)]
+    block = montecarlo._run_block(config, (0, 1), range(10, 20))
+    assert len(block) == 2
+    for sweep_index, record in enumerate(block):
+        trials = [run_trial(config, sweep_index, t) for t in range(10, 20)]
+        for one in trials:
+            for outcome in one.outcomes.values():
+                assert all(len(c) == 1 for c in vars(outcome).values() if c is not None)
+        assert untimed(record) == [row for one in trials for row in untimed(one)]
 
 
 def collector_at_solve(monkeypatch, fail=False) -> list[bool]:
@@ -501,15 +509,19 @@ class TestCollectorPause:
     # caller's collector state comes back whatever the solve does
 
     def test_paused_during_every_timed_solve(self, monkeypatch):
+        # one timed solve per label per block, over every sweep point's rows,
+        # but one per label per point for the iteration profile
         states = collector_at_solve(monkeypatch)
         assert gc.isenabled()
         config = RECORD_GOLDENS["noise-sweep"][0]
         run_trial(config, 0, 3)
         assert states == [False] * len(config.modes)
         assert gc.isenabled()
+        run_experiment(replace(config, sweep_values=(0.1, 1.0, 3.0), trials=5))
+        assert states == [False] * 2 * len(config.modes)
         profile = ExperimentConfig("iteration-profile", (1.0, 2.0, 3.0), trials=5)
         run_experiment(profile)
-        assert states == [False] * (len(config.modes) + 3 * len(profile.modes))
+        assert states == [False] * (2 * len(config.modes) + 3 * len(profile.modes))
         assert gc.isenabled()
 
     def test_caller_that_disabled_the_collector_keeps_it_off(self, monkeypatch):
@@ -595,16 +607,23 @@ def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
     monkeypatch.setattr(montecarlo, "solve_batch", solve_batch)
     monkeypatch.setattr(analysis, "position_clock_crlb", position_clock_crlb)
     monkeypatch.setattr(analysis, "velocity_mismatch_bias", velocity_mismatch_bias)
-    trials = range(5, 18)
-    montecarlo._run_block(config, 1, trials)
-    references = [one_trial_reference(config, 1, t) for t in trials]
-    assert len(solves) == len(crlbs) == len(references[0][1])
-    pending_biases = iter(biases)
-    for k, ((mode, anchors, delays, observed, weights, initial, velocity), (truth, truth_v)) in (
-        enumerate(zip(solves, crlbs))
-    ):
-        for row, (sc, labels) in enumerate(references):
-            ref_mode, ref_delays, ref_observed, ref_weights, ref_initial, ref_velocity, assumed = (
+    points, trials = (1, 0), range(5, 18)
+    montecarlo._run_block(config, points, trials)
+    references = {(i, t): one_trial_reference(config, i, t) for i in points for t in trials}
+    n_labels = len(references[points[0], trials[0]][1])
+    # each call's label and (point, trial) rows: one call per label over
+    # every point's rows, or per label and point for the iteration profile
+    if config.kind == "iteration-profile":
+        calls = [(k, [(i, t) for t in trials]) for i in points for k in range(n_labels)]
+    else:
+        calls = [(k, [(i, t) for i in points for t in trials]) for k in range(n_labels)]
+    assert len(solves) == len(crlbs) == len(calls)
+    for (k, keys), solve_args, (truth, truth_v) in zip(calls, solves, crlbs):
+        mode, anchors, delays, observed, weights, initial, velocity = solve_args
+        assert len(initial) == len(keys)
+        for row, key in enumerate(keys):
+            sc, labels = references[key]
+            ref_mode, ref_delays, ref_observed, ref_weights, ref_initial, ref_velocity, _ = (
                 labels[k]
             )
             assert mode is ref_mode
@@ -616,7 +635,15 @@ def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
             assert same_bits(velocity[row], ref_velocity)
             assert same_bits(truth[row], sc.ud.position)
             assert same_bits(truth_v[row], sc.ud.velocity)
-            if assumed is not None:
+    # bias predictions are per trial: point by point, label by label
+    pending_biases = iter(biases)
+    for i in points:
+        for k in range(n_labels):
+            for t in trials:
+                sc, labels = references[i, t]
+                _, ref_delays, *_, assumed = labels[k]
+                if assumed is None:
+                    continue
                 bias_position, bias_velocity, bias_delays, bias_assumed = next(pending_biases)
                 assert same_bits(bias_position, sc.ud.position)
                 assert same_bits(bias_velocity, sc.ud.velocity)
@@ -626,14 +653,16 @@ def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each map's
-    chunk size, and maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, the worker
+    initializer and each map's chunk size, and maps in-process."""
 
     seen: list = []
     chunks: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         RecordingPool.seen.append(max_workers)
+        RecordingPool.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -662,18 +691,56 @@ def test_pool_workers_bounded_by_chunks_and_cpus(monkeypatch, jobs, trials, cpus
 
 
 @pytest.mark.parametrize(
-    "jobs,trials,chunksize", [(2, 40, 6), (2, 100, 18), (2, 10, 3), (1000, 40, 3)]
+    "jobs,trials,chunksize", [(2, 40, 2), (2, 100, 6), (2, 10, 1), (1000, 40, 1)]
 )
 def test_pool_chunks_hold_whole_blocks(monkeypatch, jobs, trials, chunksize):
-    # three iteration-profile budgets: a chunk holds whole blocks of
-    # (block, point) items, about 8 chunks per worker
+    # three iteration-profile budgets: a pool item is a whole block at every
+    # point, and a chunk holds about 1/8 of a worker's blocks
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "BLOCK", 1)
-    RecordingPool.seen, RecordingPool.chunks = [], []
+    RecordingPool.seen, RecordingPool.chunks, RecordingPool.initializers = [], [], []
     config = ExperimentConfig("iteration-profile", (1.0, 2.0, 3.0), trials=trials, jobs=jobs)
     per_point = montecarlo._run_points(config, range(3))
     assert RecordingPool.chunks == [chunksize]
+    assert RecordingPool.initializers == [montecarlo._one_blas_thread]
     serial = montecarlo._run_points(replace(config, jobs=1), range(3))
     assert [[untimed(r) for r in records] for records in per_point] == [
         [untimed(r) for r in records] for records in serial
     ]
+
+
+# reads both OpenBLAS copies' thread counts before and after the pool
+# initializer, in a process that asked for two threads
+BLAS_THREADS = """
+import ctypes, json
+import numpy.linalg._umath_linalg as numpy_blas, scipy.linalg._flapack as scipy_blas
+from toaloc import montecarlo
+getters = [getattr(ctypes.CDLL(m.__file__), name, None) for m, name in (
+    (numpy_blas, "scipy_openblas_get_num_threads64_"),
+    (scipy_blas, "scipy_openblas_get_num_threads"),
+)]
+counts = lambda: [None if g is None else g() for g in getters]
+before = counts()
+montecarlo._one_blas_thread()
+print(json.dumps([before, counts()]))
+"""
+
+
+def test_pool_initializer_pins_one_blas_thread():
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True,
+                          text=True, check=True)
+    before, after = json.loads(done.stdout)
+    if None in before:
+        pytest.skip("an OpenBLAS copy does not export its thread count")
+    assert after == [1, 1]
+
+
+def test_pool_initializer_skips_a_copy_without_the_setter(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+    montecarlo._one_blas_thread()  # nothing to set, nothing raised

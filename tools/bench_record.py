@@ -6,7 +6,9 @@ Runs ``perfbench/run.py --trace 0`` once on every workload that
 ``BENCHMARK.json`` lists, for its ``run_seconds``, then the tier-1 test suite
 (the command in ROADMAP.md) once, and writes to OUT.json: each workload's
 JSON result lines, the suite's summary line with its wall and CPU time, and
-the line counts ``wc -l src/toaloc/*.py`` prints. Run it from anywhere; it
+the line counts ``wc -l src/toaloc/*.py`` prints, and the core name and
+thread count of numpy's and scipy's OpenBLAS copies, which decide the result
+bits (kernel) and the speed (threads). Run it from anywhere; it
 works on the checkout it sits in. A workload or suite that fails is
 recorded with its exit code, and the script exits 1.
 """
@@ -52,6 +54,35 @@ def run_tier1() -> dict:
     }
 
 
+# Prints each OpenBLAS copy's core name and thread count as JSON: numpy's
+# copy exports its symbols with the suffix 64_, scipy's with none. A copy
+# that does not export one reports null for it.
+BLAS_PROBE = """
+import ctypes, json
+import numpy.linalg._umath_linalg as numpy_blas
+import scipy.linalg._flapack as scipy_blas
+copies = {}
+for name, module, suffix in (("numpy", numpy_blas, "64_"), ("scipy", scipy_blas, "")):
+    lib = ctypes.CDLL(module.__file__)
+    core = getattr(lib, "scipy_openblas_get_corename" + suffix, None)
+    threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+    if core is not None:
+        core.restype = ctypes.c_char_p
+    copies[name] = {"corename": core and core().decode(), "threads": threads and threads()}
+print(json.dumps(copies))
+"""
+
+
+def openblas() -> dict:
+    """Each OpenBLAS copy's core name and thread count, in a process started
+    with OPENBLAS_NUM_THREADS=1 as perfbench/run.py sets it (an
+    OPENBLAS_CORETYPE in the environment passes through)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                          text=True)
+    return json.loads(done.stdout) if done.returncode == 0 else {"exit_code": done.returncode}
+
+
 def src_lines() -> dict:
     counts = {p.name: p.read_text().count("\n") for p in sorted(ROOT.glob("src/toaloc/*.py"))}
     return {**counts, "total": sum(counts.values())}
@@ -71,6 +102,7 @@ def main(argv: list[str]) -> int:
         },
         "tier1": run_tier1(),
         "src_lines": src_lines(),
+        "openblas": openblas(),
     }
     Path(argv[0]).write_text(json.dumps(record, indent=2) + "\n")
     failed = [w for w, r in record["workloads"].items() if r["exit_code"] != 0]
