@@ -289,7 +289,8 @@ def _step(mode: Mode, n: int, rows: _Rows, out: BatchEstimate):
             rows.retire(exc.rows, out, exc)
             continue
         r = rows.observed - h
-        # r @ (w * r) and G'W r as matmuls: per row the BLAS calls of one epoch
+        # r @ (w * r) and G'W r as matmuls: per row the BLAS calls of one epoch, and its
+        # dtrtrs bits (stacked ddots from linalg.STACKED_ROWS rows, import-checked)
         wrr = r[:, None, :] @ (rows.weights * r)[:, :, None]
         res_norm = [math.sqrt(x) for x in wrr.ravel().tolist()]
         if not all(map(math.isfinite, res_norm)):

@@ -5,11 +5,12 @@ tiny (normal equations of at most 2N+2 unknowns, stacked models of at most
 a few dozen rows), so a call costs more in dispatch than in arithmetic.
 ``solve_spd_rows``, and ``solve_spd`` as its one-row case, call LAPACK's
 ``dtrtrs`` on ``low.T`` (numpy's C-ordered Cholesky factor transposed: the
-Fortran-ordered upper factor, read without a copy), with trans='T' then 'N':
-the calls ``scipy.linalg.solve_triangular(low.T, b, lower=False)`` makes, so
-results match it bit for bit. ``dpotrs``, ``np.linalg.solve``, scipy's ``dpotrf``
-and numpy substitution round differently and would change the solver's outputs.
-``invert_spd_rows`` and its one-row case ``invert_spd`` solve against identities.
+Fortran-ordered upper factor, read without a copy) with trans='T' then 'N', as
+``scipy.linalg.solve_triangular`` does, or from ``STACKED_ROWS`` one-column rows
+``_substitute``: dtrsv's order in stacked ddots, the same bits where an import
+check finds that ddot sums in one chain. ``dpotrs``, ``np.linalg.solve``, scipy's
+``dpotrf`` and numpy substitution round differently and would change the solver's
+outputs. ``invert_spd_rows`` and its one-row case ``invert_spd`` solve against identities.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from scipy.linalg.lapack import dtrtrs
 # A Cholesky pivot d_jj below this fraction of the largest diagonal entry
 # of the input declares the matrix numerically singular.
 SINGULARITY_RTOL = 1e-12
+STACKED_ROWS = 32  # from this many one-column rows _substitute costs less than dtrtrs pairs
+_STACKED_ORDER = 8  # the most unknowns _substitute takes: those of the import check
 
 
 class DimensionMismatch(ValueError):
@@ -73,8 +76,9 @@ def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     A row that cannot be solved gets its exception, which solve_spd raises,
     in the returned list (None for a solved row) in place of x[i]. One batched
     Cholesky call factors the stack (one matrix at a time only when it fails);
-    the dtrtrs pair runs per row over zipped views with its flags by position,
-    as per-row indexing and f2py's keyword parsing cost more than LAPACK's work.
+    the dtrtrs pair, where _substitute does not serve, runs per row over zipped
+    views, flags by position, as per-row indexing and f2py's keyword parsing
+    cost more than LAPACK's work.
     """
     errors: list = [None] * len(a)
     if not math.isfinite(np.add.reduce(a, axis=None)):  # or a sum past the float range
@@ -100,14 +104,49 @@ def solve_spd_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
         for i, (pivot, top) in enumerate(zip(pivots.min(1).tolist(), diagonals.max(1).tolist())):
             if pivot**2 <= SINGULARITY_RTOL * top:
                 errors[i] = errors[i] or SingularMatrix("pivot below singularity tolerance")
-    x = np.empty(b.shape)
-    for i, (exc, upper, rhs) in enumerate(zip(errors, low.swapaxes(1, 2), b)):
-        if exc is None:
+    x, skip = np.empty(b.shape), errors  # a truthy entry: no dtrtrs pair for that row
+    if len(b) >= STACKED_ROWS and b.ndim == 2 and b.shape[1] <= _STACKED_ORDER and _STACKED_EXACT:
+        # the orders part only on a signed zero or a NaN's bits: such rows take dtrtrs
+        with np.errstate(all="ignore"):  # as dtrtrs is silent when a solution overflows
+            x = _substitute(low, b)
+            if x.all() and math.isfinite(np.add.reduce(x, axis=None)):
+                return x, errors
+        skip = [e or ok for e, ok in zip(errors, (np.isfinite(x) & (x != 0.0)).all(1).tolist())]
+    for i, (done, upper, rhs) in enumerate(zip(skip, low.swapaxes(1, 2), b)):
+        if not done:
             y, _ = dtrtrs(upper, rhs, 0, 1)  # lower=0, trans=1: solve upper.T @ y = rhs
-            x[i], info = dtrtrs(upper, y)
-            if info != 0:
-                errors[i] = SingularMatrix(f"triangular solve failed (LAPACK info {info})")
+            x[i], _ = dtrtrs(upper, y)  # info > 0 needs a zero pivot, which the floor rejects
     return x, errors
+
+
+def _substitute(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with low[i] @ low[i].T @ x[i] = b[i] in OpenBLAS dtrsv's order: forward
+    its dot, y_i = (b_i - low[i, :i] . y[:i]) / low_ii; back its axpy chain, as
+    [y_i, -x_{p-1}, ..., -x_{i+1}] . [1, low[p-1, i], ..., low[i+1, i]] / low_ii.
+    Every dot is over unit strides, as a strided ddot keeps two partial sums."""
+    t, p = b.shape
+    y, x, chain = np.empty((t, p)), np.empty((t, p)), np.empty((t, p + 1))
+    for i in range(p):
+        y[:, i] = (b[:, i] - (low[:, i, None, :i] @ y[:, :i, None])[:, 0, 0]) / low[:, i, i]
+    column = np.ones((t, p, p))  # column[:, i, :p - i] = [1, low[p-1, i], ..., low[i+1, i]]
+    column[:, :, 1:] = low.swapaxes(1, 2)[:, :, :0:-1]
+    for i in reversed(range(p)):  # chain[:, :p - i] = [y_i, -x_{p-1}, ..., -x_{i+1}]
+        chain[:, 0] = y[:, i]
+        x[:, i] = (chain[:, None, : p - i] @ column[:, i, : p - i, None])[:, 0, 0] / low[:, i, i]
+        chain[:, p - i] = -x[:, i]
+    return x
+
+
+def _substitution_is_exact() -> bool:
+    """Whether _substitute gives a fixed, seeded stack the dtrtrs pairs' bits:
+    not under kernels whose ddot keeps partial sums (OpenBLAS's Prescott)."""
+    m = np.random.default_rng(20260823).normal(size=(16, _STACKED_ORDER + 2, _STACKED_ORDER))
+    b, low = m[:, 0], np.linalg.cholesky(m.swapaxes(1, 2) @ m + np.eye(_STACKED_ORDER))
+    pairs = [dtrtrs(u, dtrtrs(u, rhs, 0, 1)[0])[0] for u, rhs in zip(low.swapaxes(1, 2), b)]
+    return _substitute(low, b).tobytes() == np.array(pairs).tobytes()
+
+
+_STACKED_EXACT = _substitution_is_exact()
 
 
 def invert_spd_rows(a: np.ndarray, count: int | None = None) -> np.ndarray:

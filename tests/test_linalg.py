@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 import toaloc
+from toaloc import linalg
 from toaloc.linalg import (
     DimensionMismatch,
     NonFiniteMatrix,
@@ -253,3 +255,85 @@ class TestSolveSpdRows:
             assert errors == [None] * len(keep)
             for row, i in enumerate(keep):
                 assert x[row].tobytes() == solve_spd(a[i], b[i]).tobytes()
+
+
+def mixed_stack(seed, t, p):
+    """t one-column systems: random SPD ones, scaled over six decades, and at
+    fixed rows a non-finite matrix, a rank-one matrix (Cholesky fails), one
+    below the pivot floor, one whose solution overflows, and two diagonal
+    ones whose first solution entry is 0.0 and -0.0: dtrsv's axpy chain keeps
+    the -0.0, a dot from a zero accumulator does not."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(t, p + 2, p)) * 10.0 ** rng.uniform(-3, 3, (t, 1, p))
+    a = m.swapaxes(1, 2) @ m + 1e-3 * np.eye(p)
+    b = rng.normal(size=(t, p)) * 10.0 ** rng.uniform(-3, 3, (t, 1))
+    a[0, 1, 2] = a[0, 2, 1] = np.inf
+    a[1] = np.outer(m[1, 0], m[1, 0])
+    a[2, 0, 0] = 1e-14 * a[2].diagonal()[1:].max()
+    a[2, 0, 1:] = a[2, 1:, 0] = 0.0
+    a[3] *= 1e-200
+    b[3] *= 1e200 / np.abs(b[3]).max()
+    a[4:6] = a[4:6].diagonal(0, 1, 2)[:, :, None] * np.eye(p)  # +0.0 off the diagonal
+    b[4:6] = 1.0
+    b[4, 0], b[5, 0] = 0.0, -0.0
+    return a, b
+
+
+CROSSOVER, SUBSTITUTE = linalg.STACKED_ROWS, linalg._substitute
+
+
+class TestStackedSubstitution:
+    """solve_spd_rows substitutes a stack of at least STACKED_ROWS one-column
+    systems by stacked ddots where the import check found their order exact,
+    and runs the dtrtrs pair per row otherwise: both must give every row the
+    same bits, the same error and no warning."""
+
+    def solve(self, monkeypatch, a, b, crossover):
+        """Each row's solution bits or error type and message, with warnings
+        raised, at the given crossover, and how often _substitute ran."""
+        calls = []
+        monkeypatch.setattr(linalg, "STACKED_ROWS", crossover)
+        monkeypatch.setattr(linalg, "_substitute", lambda *a: calls.append(1) or SUBSTITUTE(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, errors = solve_spd_rows(a, b)
+        rows = [
+            x[i].tobytes() if exc is None else (type(exc), str(exc)) for i, exc in enumerate(errors)
+        ]
+        return rows, len(calls)
+
+    @pytest.mark.parametrize("t", sorted({CROSSOVER - 1, CROSSOVER, 33, 128, 512}))
+    @pytest.mark.parametrize("p", [3, 4, 6])
+    def test_both_orders_give_every_row_the_same_outcome(self, monkeypatch, t, p):
+        a, b = mixed_stack(t + p, t, p)
+        looped, calls = self.solve(monkeypatch, a, b, t + 1)
+        assert calls == 0
+        stacked, calls = self.solve(monkeypatch, a, b, 1)
+        assert calls == int(linalg._STACKED_EXACT)
+        default, calls = self.solve(monkeypatch, a, b, CROSSOVER)
+        assert calls == int(linalg._STACKED_EXACT and t >= CROSSOVER)
+        assert stacked == looped == default
+        assert looped[:4] == [
+            (NonFiniteMatrix, "a contains non-finite entries"),
+            (SingularMatrix, "Matrix is not positive definite"),
+            (SingularMatrix, "pivot below singularity tolerance"),
+            solve_spd(a[3], b[3]).tobytes(),
+        ]
+        x = np.frombuffer(b"".join(looped[3:6]), dtype=float).reshape(3, p)
+        assert not np.isfinite(x[0]).all()
+        assert x[1, 0] == x[2, 0] == 0.0 and np.signbit(x[1:, 0]).tolist() == [False, True]
+        if linalg._STACKED_EXACT:  # the rows with a zero take the dtrtrs pair
+            assert not np.signbit(linalg._substitute(np.linalg.cholesky(a[5:6]), b[5:6])[0, 0])
+
+    def test_multi_column_solves_keep_the_dtrtrs_pairs(self, monkeypatch):
+        a, b = mixed_stack(1, 64, 4)
+        _, calls = self.solve(monkeypatch, a, b[:, :, None], 1)
+        assert calls == 0
+
+    def test_systems_beyond_the_checked_order_keep_the_dtrtrs_pairs(self, monkeypatch):
+        # the import check covers dots of up to _STACKED_ORDER terms; ddot
+        # kernels keep partial sums from 16 terms up
+        a, b = mixed_stack(2, 64, 20)
+        stacked, calls = self.solve(monkeypatch, a, b, 1)
+        assert calls == 0
+        assert stacked == self.solve(monkeypatch, a, b, 65)[0]

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from toaloc import analysis, montecarlo
+from toaloc import analysis, linalg, montecarlo
 from toaloc.estimator import Mode, default_initial
 from toaloc.measurement import generate
 from toaloc.montecarlo import (
@@ -447,9 +447,15 @@ RECORD_GOLDENS = {
 }
 
 
-# block sizes either side of the seed hash's crossover, _HASHED_BLOCK seeds:
-# at two sweep points, blocks of 1 trial seed default_rng, and 7 and up hash
-BLOCK_SIZES = sorted({1, 7, montecarlo._HASHED_BLOCK - 1, montecarlo._HASHED_BLOCK, 128})
+# block sizes either side of the seed hash's crossover, _HASHED_BLOCK seeds,
+# and of the stacked substitution's, linalg.STACKED_ROWS rows: at two sweep
+# points, blocks of 1 trial seed default_rng, and 7 and up hash; a label's
+# stack of 15 trials takes the dtrtrs pairs, of 16 the stacked order until
+# its first row converges, and of 128 the stacked order until few are left
+BLOCK_SIZES = sorted({
+    1, 7, montecarlo._HASHED_BLOCK - 1, montecarlo._HASHED_BLOCK,
+    linalg.STACKED_ROWS // 2 - 1, linalg.STACKED_ROWS // 2, 128,
+})
 
 
 @pytest.mark.parametrize("block,jobs", [(block, jobs) for jobs in (1, 2) for block in BLOCK_SIZES])
@@ -466,6 +472,41 @@ def test_records_match_goldens_for_any_block_size(name, block, jobs, monkeypatch
         for row in rows:
             sha.update(row.encode())
     assert sha.hexdigest() == digest
+
+
+# noise-sweep's golden records at blocks of 1 and 128 trials, as digests,
+# and whether the stacked substitution is on
+KERNEL_CHECK = """
+import hashlib, json
+from test_montecarlo import RECORD_GOLDENS, linalg, montecarlo, untimed
+config = RECORD_GOLDENS["noise-sweep"][0]
+digests = []
+for montecarlo.BLOCK in (1, 128):
+    sha = hashlib.sha256()
+    for records in montecarlo._run_points(config, range(len(config.sweep_values))):
+        for row in (row for record in records for row in untimed(record)):
+            sha.update(row.encode())
+    digests.append(sha.hexdigest())
+print(json.dumps({"digests": digests, "stacked": linalg._STACKED_EXACT}))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_block_sizes_agree_under_each_blas_kernel(coretype):
+    # the import check keeps the stacked substitution bit-exact: on x86-64 it
+    # is on but under the Prescott kernels, whose ddot keeps SSE2 partial sums
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), src])
+    done = subprocess.run(
+        [sys.executable, "-c", KERNEL_CHECK], env=env, capture_output=True, text=True, check=True
+    )
+    result = json.loads(done.stdout)
+    one, many = result["digests"]
+    assert one == many
+    assert result["stacked"] == (coretype != "Prescott")
 
 
 def test_run_trial_is_a_block_of_one():

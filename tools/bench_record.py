@@ -6,9 +6,10 @@ Runs ``perfbench/run.py --trace 0`` once on every workload that
 ``BENCHMARK.json`` lists, for its ``run_seconds``, then the tier-1 test suite
 (the command in ROADMAP.md) once, and writes to OUT.json: each workload's
 JSON result lines, the suite's summary line with its wall and CPU time, and
-the line counts ``wc -l src/toaloc/*.py`` prints, and the core name and
+the line counts ``wc -l src/toaloc/*.py`` prints, the core name and
 thread count of numpy's and scipy's OpenBLAS copies, which decide the result
-bits (kernel) and the speed (threads). Run it from anywhere; it
+bits (kernel) and the speed (threads), and the checkout's HEAD with whether
+its tracked files differ from HEAD. Run it from anywhere; it
 works on the checkout it sits in. A workload or suite that fails is
 recorded with its exit code, and the script exits 1.
 """
@@ -83,6 +84,17 @@ def openblas() -> dict:
     return json.loads(done.stdout) if done.returncode == 0 else {"exit_code": done.returncode}
 
 
+def git_head() -> dict:
+    """HEAD's SHA, and whether a tracked file differs from it: a record made
+    before its change is committed names the parent commit."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout
+    return {
+        "sha": git("rev-parse", "HEAD").strip(),
+        "modified": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
+    }
+
+
 def src_lines() -> dict:
     counts = {p.name: p.read_text().count("\n") for p in sorted(ROOT.glob("src/toaloc/*.py"))}
     return {**counts, "total": sum(counts.values())}
@@ -103,6 +115,7 @@ def main(argv: list[str]) -> int:
         "tier1": run_tier1(),
         "src_lines": src_lines(),
         "openblas": openblas(),
+        "git": git_head(),
     }
     Path(argv[0]).write_text(json.dumps(record, indent=2) + "\n")
     failed = [w for w, r in record["workloads"].items() if r["exit_code"] != 0]
