@@ -6,8 +6,10 @@ All quantities are evaluated at the true parameter and carry range units
 (meters and meters-squared). ``check_instances``, the core of both
 accuracy-ordering checks, reads plain arrays and stacks the instances that
 share an anchor shape, with the output of one-at-a-time checks; the two
-public ``check_*_advantage`` functions convert their dataclasses to it.
-Stacked inverses come from ``linalg.invert_spd_rows``.
+public ``check_*_advantage`` functions convert their dataclasses to it. Both
+bias predictors are the one-row case of ``mismatch_bias_rows``, which stacks
+T truths as ``position_clock_crlb`` does. Stacked inverses come from
+``linalg.invert_spd_rows``.
 """
 
 from __future__ import annotations
@@ -274,6 +276,28 @@ def check_instances(instances, tol: float = 1e-9) -> list[tuple[dict, dict]]:
     return out
 
 
+def mismatch_bias_rows(anchors_m: np.ndarray, delays: np.ndarray, positions: np.ndarray,
+                       velocities: np.ndarray, assumed: np.ndarray, weights: np.ndarray):
+    """velocity_mismatch_bias of T rows, bit for bit: the biases (T, N+2), then the
+    predicted total, position and clock RMSEs (T,). The arrays are position_clock_crlb's
+    plus the assumed velocities (T, N); raises what forward and invert_spd_rows raise."""
+    n = positions.shape[-1]
+    # with zero clock states the model rows are the bare ranges, so the
+    # request halves cancel exactly and g is the mismatched design matrix
+    h, g = forward(anchors_m, delays, positions, assumed, 0.0, 0.0, jacobian=True)
+    r = h - forward(anchors_m, delays, positions, velocities, 0.0, 0.0)
+    gw = g * weights[..., None]
+    q = invert_spd_rows(gw.swapaxes(-1, -2) @ g)
+    mu = (q @ (gw.swapaxes(-1, -2) @ r[..., None]))[..., 0]
+    var = q.diagonal(0, 1, 2)
+    # the dots are np.dot's ddot; the clock bias is squared as a Python float,
+    # as numpy's array square rounds some squares differently
+    total = (mu[:, None] @ mu[:, :, None])[:, 0, 0] + np.add.reduce(var, axis=-1)
+    position = (mu[:, None, :n] @ mu[:, :n, None])[:, 0, 0] + np.add.reduce(var[:, :n], axis=-1)
+    clock = np.array([c**2 for c in mu[:, n].tolist()]) + var[:, n]
+    return mu, np.sqrt(total), np.sqrt(position), np.sqrt(clock)
+
+
 def velocity_mismatch_bias(
     anchors: AnchorSet,
     ud: UdState,
@@ -282,34 +306,18 @@ def velocity_mismatch_bias(
     assumed_velocity: np.ndarray,
 ) -> BiasReport:
     """First-order bias and RMSE of the known-velocity estimator when it is
-    fed ``assumed_velocity`` while the device truly moves with ud.velocity.
+    fed ``assumed_velocity`` while the device truly moves with ud.velocity:
+    the one-row case of mismatch_bias_rows.
 
     The residual induced by the mismatch lives in the response half only:
     row i is ||p_i - p - v_assumed*dt_i|| - ||p_i - p - v_true*dt_i||. The
     bias is its WLS projection through the mismatched design matrix, and
     the RMSE predictions add the CRLB covariance of that estimator.
     """
-    assumed_velocity = np.asarray(assumed_velocity, dtype=float)
-    n = anchors.n_dim
-    pos, dt = anchors.positions, schedule.delays
-    # with zero clock states the model rows are the bare ranges, so the
-    # request halves cancel exactly and g is the mismatched design matrix
-    h, g = forward(pos, dt, ud.position, assumed_velocity, 0.0, 0.0, jacobian=True)
-    r = h - forward(pos, dt, ud.position, ud.velocity, 0.0, 0.0)
-    w = weight_vector(noise)
-    gw = g * w[:, None]
-    q = invert_spd(gw.T @ g)
-    mu = q @ (gw.T @ r)
-
-    trace_q = float(np.trace(q))
-    trace_pos = float(np.trace(q[:n, :n]))
-    var_clock = float(q[n, n])
-    return BiasReport(
-        bias=mu,
-        predicted_rmse_total=float(np.sqrt(mu @ mu + trace_q)),
-        predicted_rmse_position=float(np.sqrt(mu[:n] @ mu[:n] + trace_pos)),
-        predicted_rmse_clock=float(np.sqrt(mu[n] ** 2 + var_clock)),
-    )
+    row = (anchors.positions, schedule.delays, ud.position, ud.velocity,
+           np.asarray(assumed_velocity, dtype=float), weight_vector(noise))
+    mu, *rmse = mismatch_bias_rows(*(x[None] for x in row))
+    return BiasReport(mu[0], *(float(x[0]) for x in rmse))
 
 
 def stationary_assumption_bias(

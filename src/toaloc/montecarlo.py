@@ -8,12 +8,12 @@ index) with a splitmix64-style mix, so results are byte-identical regardless
 of how trials are scheduled across workers.
 
 A block is one range of trial indices taken at every sweep point: each of
-its outcome labels is one batched solve and one batched CRLB over all those
-points' rows, or one per point for the iteration profile, which times each
-budget's solve by itself.
+its outcome labels is one batched solve, one batched CRLB and, given an
+assumed velocity, one batched bias prediction over all those points' rows.
+The iteration profile draws its trials once and times one solve per budget.
 
 Each trial draws from the stream ``np.random.default_rng(seed)`` would give.
-A block of at least ``_HASHED_BLOCK`` seeds (trials times sweep points)
+A block of at least ``_HASHED_BLOCK`` seeds (trials times drawn points)
 does not build a generator per trial: it hashes all its seeds at once as
 ``SeedSequence`` does (NEP 19), in numpy over uint32 words, and reseeds one
 shared ``PCG64`` per trial as its ``srandom`` does (O'Neill 2014). Shorter
@@ -38,17 +38,15 @@ from . import analysis
 # stay importable: perfbench/spans.py wraps them at these names
 from .estimator import Mode, default_initial, solve, solve_batch  # noqa: F401
 from .measurement import generate, synthesize  # noqa: F401
-from .scenario import SPEED_OF_LIGHT, UdState, benchmark_parts, benchmark_scenario  # noqa: F401
+from .scenario import SPEED_OF_LIGHT, benchmark_parts, benchmark_scenario  # noqa: F401
 from .scenario import BENCHMARK_ANCHORS_M, benchmark_states, direction
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 
-# Trials per block, taken at every sweep point: each outcome label of a
-# block is one batched solve and one batched CRLB over all its points' rows.
-# Larger blocks gain little speed, and time the points of the iteration
-# profile further apart.
+# Trials per block, taken at every sweep point. Larger blocks gain little
+# speed, and time the budgets of the iteration profile further apart.
 BLOCK = 128
 
 NOISE_SWEEP = "noise-sweep"
@@ -122,7 +120,7 @@ _PAD = _hashmix(np.zeros((2, 1), np.uint32), _MIX[:, 2:4])
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Blocks of at least this many seeds (trials times sweep points) hash them
+# Blocks of at least this many seeds (trials times drawn points) hash them
 # together; shorter ones seed default_rng per trial. Measured crossover: 6
 # to 8 seeds.
 _HASHED_BLOCK = 8
@@ -202,6 +200,8 @@ class ExperimentConfig:
             raise ValueError("sigma_m must be finite and positive")
         if not self.delay_step_ms or not all(0.0 < v < math.inf for v in self.delay_step_ms):
             raise ValueError("delay_step_ms must be non-empty, finite and positive")
+        if len({f"{v:g}" for v in self.delay_step_ms}) < len(self.delay_step_ms):
+            raise ValueError("delay_step_ms values must differ in 6 significant digits")
         if self.kind == ITERATION_PROFILE and any(v < 1 or v != int(v) for v in self.sweep_values):
             raise ValueError("iteration-profile sweep values must be positive integers")
         if self.kind == NOISE_SWEEP and any(v <= 0 for v in self.sweep_values):
@@ -266,22 +266,22 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
     """Execute a block of seeded trials at every sweep point of ``points``:
     one record per point, its columns in the order of ``trial_indices``.
 
-    Only the draw and the bias prediction (of a label with an assumed
-    velocity) are per trial: each (point, trial) generator fills its row of
-    raw variates in the order benchmark_scenario, the start angle, generate
-    (per response-delay step) and the deviation angle draw them. Truths and
-    measurements are per point; each label's solve and CRLB take every
-    point's rows at once (one point at a time for the iteration profile), and
-    a one-point block joins no arrays. The columns depend neither on the
-    block's size nor on the points that share it.
+    Only the draw is per trial: each (point, trial) generator fills its row
+    of raw variates in the order benchmark_scenario, the start angle,
+    generate (per response-delay step) and the deviation angle draw them.
+    Each label's solve, CRLB and bias prediction then take every drawn
+    point's rows at once, and the iteration profile's one draw is solved
+    once per budget. A one-point block joins no arrays. The columns depend
+    neither on the block's size nor on the points that share it.
     """
-    # the iteration profile varies only the solver budget, so every sweep
-    # point replays the same trials to make the per-budget RMSEs paired
+    # the iteration profile varies only the solver budget: it draws its trials
+    # once and solves them at every budget, so that the per-budget RMSEs are paired
     profile = config.kind == ITERATION_PROFILE
     stationary, mismatch = config.kind == STATIONARY_BASELINE, config.kind == VELOCITY_MISMATCH
     t = len(trial_indices)
+    draws = points[:1] if profile else points
     seeds = [derive_seed(config.base_seed, 0 if profile else i, trial)
-             for i in points for trial in trial_indices]
+             for i in draws for trial in trial_indices]
     u = np.empty((len(seeds), 8 if mismatch else 7))
     z = np.empty((len(seeds), len(config.delay_step_ms) if stationary else 1,
                   2 * len(BENCHMARK_ANCHORS_M)))
@@ -291,125 +291,117 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
         if mismatch:
             rng.random(out=u[row, 7:])
 
-    # per outcome label, and per point for the iteration profile: the mode,
-    # the budget and each point's solver, CRLB and prediction inputs
-    groups = {}
-    for p, sweep_index in enumerate(points):
+    # per drawn point: truths, start, threshold and the mismatch study's assumed velocity,
+    # then each epoch's anchors, delays and weights (repeated per row) and measurements
+    columns = []
+    for p, sweep_index in enumerate(draws):
         sweep_value = config.sweep_values[sweep_index]
         sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
         speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
         radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
-        # the iteration profile forces exactly max_iter iterations
-        threshold = np.array([1e-300 if profile else sigma / 10.0] * t)
-        max_iter = int(sweep_value) if profile else 10
         # anchors, schedule and noise of each epoch a trial synthesizes: the
         # stationary baseline has one per response-delay step in its grid
         parts = (
             [benchmark_parts(sigma, step_ms * 1e-3) for step_ms in config.delay_step_ms]
             if stationary else [benchmark_parts(sigma)]
         )
-        m, n = parts[0][0].positions.shape
-        u_p, z_p = (u, z) if len(points) == 1 else (u[p * t : (p + 1) * t], z[p * t : (p + 1) * t])
+        u_p, z_p = (u, z) if len(draws) == 1 else (u[p * t : (p + 1) * t], z[p * t : (p + 1) * t])
         position, velocity, offset, drift = benchmark_states(u_p[:, :6], speed)
-        start = position + radius * direction(u_p[:, 6])
         offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
-        # each epoch as the block's anchors, delays and weights (repeated per row) and measurements
-        epochs = []
+        columns.append([
+            position, velocity, offset_m, position + radius * direction(u_p[:, 6]),
+            # the iteration profile forces exactly max_iter iterations
+            np.array([1e-300 if profile else sigma / 10.0] * t),
+            # the known-velocity estimator fed a velocity deviated from the
+            # truth in a random direction by the swept norm
+            velocity + sweep_value * direction(u_p[:, 7]) if mismatch else None,
+        ])
         for k, (anchors, schedule, noise) in enumerate(parts):
             stacked, weights = synthesize(
                 anchors.positions, schedule.delays, position, velocity, offset_m[:, None],
                 drift_mps[:, None], noise, z_p[:, k],
             )
             repeat = [x[None].repeat(t, 0) for x in (anchors.positions, schedule.delays, weights)]
-            epochs.append((*repeat, stacked))
+            columns[-1] += [*repeat, stacked]
+    position, velocity, offset_m, start, threshold, deviated, *epochs = (
+        columns[0] if len(draws) == 1 else map(_join, zip(*columns))
+    )
+    rows, (m, n) = len(position), parts[0][0].positions.shape
 
-        # each label's mode, epoch, velocity for the solver (zeros if None) and
-        # assumed velocity for the bias predictor (no prediction if None)
-        if stationary:  # both estimators on the same truth at every response-delay step
-            runs = {}
-            for k, step_ms in enumerate(config.delay_step_ms):
-                runs[f"stationary@dt{step_ms:g}ms"] = (Mode.STATIONARY, k, None, np.zeros((t, n)))
-                runs[f"known-velocity@dt{step_ms:g}ms"] = (Mode.KNOWN_VELOCITY, k, velocity, None)
-        elif mismatch:
-            # the known-velocity estimator fed a velocity deviated from the truth
-            # in a random direction by the swept norm
-            assumed = velocity + sweep_value * direction(u_p[:, 7])
-            runs = {Mode.KNOWN_VELOCITY.value: (Mode.KNOWN_VELOCITY, 0, assumed, assumed)}
-        else:
-            runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
-                    for mode in config.modes}
+    # each label's mode, epoch, velocity for the solver (zeros if None) and
+    # assumed velocity for the bias predictor (no prediction if None)
+    if stationary:  # both estimators on the same truth at every response-delay step
+        runs = {}
+        for k, step_ms in enumerate(config.delay_step_ms):
+            runs[f"stationary@dt{step_ms:g}ms"] = (Mode.STATIONARY, k, None, np.zeros((rows, n)))
+            runs[f"known-velocity@dt{step_ms:g}ms"] = (Mode.KNOWN_VELOCITY, k, velocity, None)
+    elif mismatch:
+        runs = {Mode.KNOWN_VELOCITY.value: (Mode.KNOWN_VELOCITY, 0, deviated, deviated)}
+    else:
+        runs = {mode.value: (mode, 0, velocity if mode is Mode.KNOWN_VELOCITY else None, None)
+                for mode in config.modes}
 
-        for label, (mode, k, known, assumed) in runs.items():
-            anchors_m, delays, weights, stacked = epochs[k]
-            fitted = m if mode is Mode.ONE_WAY else 2 * m
-            # default_initial's iterate: the start, the first response as clock
-            # offset, zero drift and velocity
-            initial = np.zeros((t, mode.param_dim(n)))
-            initial[:, :n] = start
-            initial[:, n] = stacked[:, m]
-            predicted = (None, None)
-            if assumed is not None:
-                anchors, schedule, noise = parts[k]
-                truths = map(UdState, position, velocity, offset, drift)
-                biases = [analysis.velocity_mismatch_bias(anchors, ud, schedule, noise, v)
-                          for ud, v in zip(truths, assumed)]
-                predicted = (np.array([b.predicted_rmse_position for b in biases]),
-                             np.array([b.predicted_rmse_clock for b in biases]))
-            group = groups.setdefault((label, p if profile else 0), (mode, max_iter, []))
-            group[2].append((
-                anchors_m, delays, stacked[:, :fitted], weights[:, :fitted], initial,
-                np.zeros((t, n)) if known is None else known, threshold, position, velocity,
-                offset_m, *predicted,
-            ))
-
+    # one timed solve per label, or per label and budget for the iteration profile
+    budgets = [int(config.sweep_values[i]) for i in points] if profile else [10]
     records = [TrialRecord() for _ in points]
-    for (label, first), (mode, max_iter, inputs) in groups.items():
-        (anchors_m, delays, observed, weights, initial, known, threshold, position, velocity,
-         offset_m, pred_pos, pred_clk) = inputs[0] if len(inputs) == 1 else map(_join, zip(*inputs))
-        rows = len(initial)
-        # the cyclic collector is paused for the timed solve only, as timeit
-        # does, so that a pass over the run's live records is charged to no
-        # trial; it runs at the next allocation after the solve. A caller
-        # that turned the collector off keeps it off
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            est = solve_batch(
-                mode, anchors_m, delays, observed, weights, initial, known, threshold, max_iter
-            )
-            elapsed = (time.perf_counter() - t0) / rows  # every trial is charged the mean
-        finally:
-            if collecting:
-                gc.enable()
+    for label, (mode, k, known, assumed) in runs.items():
+        anchors_m, delays, weights, stacked = epochs[4 * k : 4 * k + 4]
+        fitted = m if mode is Mode.ONE_WAY else 2 * m
+        observed, weights = stacked[:, :fitted], weights[:, :fitted]
+        # default_initial's iterate: the start, the first response as clock
+        # offset, zero drift and velocity
+        initial = np.zeros((rows, mode.param_dim(n)))
+        initial[:, :n] = start
+        initial[:, n] = stacked[:, m]
+        known = np.zeros((rows, n)) if known is None else known
         # synthesize weights by weight_vector(noise), as fim does: every sigma
-        # of an ExperimentConfig is positive
+        # of an ExperimentConfig is positive. A label with an assumed velocity
+        # fits all 2M rows, so its fitted weights are the predictor's too
         pos_crlb, clk_crlb = analysis.position_clock_crlb(
             mode, anchors_m, delays, position, velocity, weights
         )
-        err = est.theta[:, :n] - position
-        iterations = np.array(est.iterations)
-        failed = np.array([exc is not None for exc in est.failures])
-        outcome = ModeOutcome(
-            # a profiled run spends its whole iteration budget by
-            # construction; completing it counts as converged
-            converged=(np.where(failed, est.converged, iterations == max_iter) if profile
-                       else np.array(est.converged)),
-            iterations=iterations,
-            pos_err_m=np.sqrt(err[:, None, :] @ err[:, :, None])[:, 0, 0],  # np.linalg.norm's ddot
-            clk_err_m=np.abs(est.theta[:, n] - offset_m),
-            solve_time_s=np.full(rows, elapsed),
-            # squares of Python floats: numpy's array square rounds some differently
-            crlb_pos_sq=np.array([c**2 for c in pos_crlb.tolist()]),
-            crlb_clk_sq=np.array([c**2 for c in clk_crlb.tolist()]),
-            pred_rmse_pos=pred_pos,
-            pred_rmse_clk=pred_clk,
-            failed=failed,
-        )
-        for q in range(len(inputs)):  # each point's rows of the joined columns
-            records[first + q].outcomes[label] = outcome if len(inputs) == 1 else ModeOutcome(
-                *(c if c is None else c[q * t : (q + 1) * t] for c in vars(outcome).values())
+        predicted = (None,) * 4 if assumed is None else analysis.mismatch_bias_rows(
+            anchors_m, delays, position, velocity, assumed, weights)
+        # squares of Python floats: numpy's array square rounds some differently
+        crlb_pos_sq = np.array([c**2 for c in pos_crlb.tolist()])
+        crlb_clk_sq = np.array([c**2 for c in clk_crlb.tolist()])
+        for b, max_iter in enumerate(budgets):
+            # the cyclic collector is paused for the timed solve only, as timeit
+            # does, so that a pass over the run's live records is charged to no
+            # trial; it runs at the next allocation after the solve. A caller
+            # that turned the collector off keeps it off
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                est = solve_batch(mode, anchors_m, delays, observed, weights, initial, known,
+                                  threshold, max_iter)
+                elapsed = (time.perf_counter() - t0) / rows  # every trial is charged the mean
+            finally:
+                if collecting:
+                    gc.enable()
+            err = est.theta[:, :n] - position
+            iterations = np.array(est.iterations)
+            failed = np.array([exc is not None for exc in est.failures])
+            outcome = ModeOutcome(
+                # a profiled run spends its whole iteration budget by
+                # construction; completing it counts as converged
+                converged=(np.where(failed, est.converged, iterations == max_iter) if profile
+                           else np.array(est.converged)),
+                iterations=iterations,
+                pos_err_m=np.sqrt(err[:, None] @ err[..., None])[:, 0, 0],  # np.linalg.norm's ddot
+                clk_err_m=np.abs(est.theta[:, n] - offset_m),
+                solve_time_s=np.full(rows, elapsed),
+                crlb_pos_sq=crlb_pos_sq,
+                crlb_clk_sq=crlb_clk_sq,
+                pred_rmse_pos=predicted[2],
+                pred_rmse_clk=predicted[3],
+                failed=failed,
             )
+            for q in range(len(draws)):  # each point's rows of the joined columns
+                records[b + q].outcomes[label] = outcome if len(draws) == 1 else ModeOutcome(
+                    *(c if c is None else c[q * t : (q + 1) * t] for c in vars(outcome).values())
+                )
     return records
 
 
@@ -535,8 +527,8 @@ def run_experiment(config: ExperimentConfig) -> list[SweepPointSummary]:
     # the stationary baseline and mismatch studies measure biased estimators,
     # so the 6*sqrt(CRLB) wrong-solution filter does not apply to them
     correctness_filter = config.kind not in (STATIONARY_BASELINE, VELOCITY_MISMATCH)
-    # every block runs its points back to back: the iteration profile replays
-    # the same trials at every budget, so that pairs their solve timings too,
+    # every block runs its points back to back: the iteration profile solves
+    # one draw at every budget in turn, so that pairs their solve timings too,
     # and drift in machine speed cannot bend the per-iteration cost curve
     per_point = _run_points(config, range(len(config.sweep_values)))
     summaries: list[SweepPointSummary] = []

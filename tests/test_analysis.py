@@ -10,6 +10,7 @@ from toaloc.analysis import (
     check_known_velocity_advantage,
     check_two_way_advantage,
     fim,
+    mismatch_bias_rows,
     position_clock_crlb,
     stationary_assumption_bias,
     velocity_mismatch_bias,
@@ -22,8 +23,8 @@ from toaloc.estimator import (
     model_h,
     solve,
 )
-from toaloc.linalg import SingularMatrix, psd_rows
-from toaloc.measurement import generate, weight_vector
+from toaloc.linalg import SingularMatrix, invert_spd, psd_rows
+from toaloc.measurement import DegenerateGeometry, forward, generate, weight_vector
 from toaloc.scenario import (
     AnchorSet,
     NoiseSpec,
@@ -252,6 +253,90 @@ class TestBiasPredictors:
             "predicted_rmse_position_m",
             "predicted_rmse_clock_m",
         }
+
+
+def frozen_velocity_mismatch_bias(anchors, ud, schedule, noise, assumed_velocity):
+    """velocity_mismatch_bias as it was computed one trial at a time, kept
+    as the reference for mismatch_bias_rows."""
+    assumed_velocity = np.asarray(assumed_velocity, dtype=float)
+    n = anchors.n_dim
+    pos, dt = anchors.positions, schedule.delays
+    h, g = forward(pos, dt, ud.position, assumed_velocity, 0.0, 0.0, jacobian=True)
+    r = h - forward(pos, dt, ud.position, ud.velocity, 0.0, 0.0)
+    w = weight_vector(noise)
+    gw = g * w[:, None]
+    q = invert_spd(gw.T @ g)
+    mu = q @ (gw.T @ r)
+
+    trace_q = float(np.trace(q))
+    trace_pos = float(np.trace(q[:n, :n]))
+    var_clock = float(q[n, n])
+    return (
+        mu,
+        float(np.sqrt(mu @ mu + trace_q)),
+        float(np.sqrt(mu[:n] @ mu[:n] + trace_pos)),
+        float(np.sqrt(mu[n] ** 2 + var_clock)),
+    )
+
+
+def random_rows(rng, t, n, deviated):
+    """T random cases of one anchor count in n dimensions, and each one's
+    assumed velocity: zero, or the truth deviated by up to 20 m/s."""
+    m = int(rng.integers(n + 2, 8))
+    cases = []
+    while len(cases) < t:
+        anchors = rng.uniform(-400, 400, (m, n))
+        position = rng.uniform(-250, 250, n)
+        if np.min(np.linalg.norm(anchors - position, axis=1)) > 10.0:
+            ud = UdState(position, rng.uniform(-35, 35, n), 0.0, 0.0)
+            noise = NoiseSpec(rng.uniform(0.05, 2.0, m), float(rng.uniform(0.05, 2.0)))
+            assumed = ud.velocity + rng.uniform(-20, 20, n) if deviated else np.zeros(n)
+            schedule = ResponseSchedule(np.sort(rng.uniform(0.002, 0.08, m)))
+            cases.append((AnchorSet(anchors), ud, schedule, noise, assumed))
+    return cases
+
+
+class TestMismatchBiasRows:
+    @pytest.mark.parametrize("deviated", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    # 2048 rows: enough that numpy's array square of the clock bias would
+    # round some row differently from the float square
+    @pytest.mark.parametrize("t", [1, 7, 8, 128, 2048])
+    def test_rows_equal_the_frozen_one_trial_predictor(self, t, n, deviated):
+        # every row of one stack, and the one-row case, carry the bits of
+        # the predictor that ran one trial at a time
+        cases = random_rows(np.random.default_rng(400 + t + 10 * n + deviated), t, n, deviated)
+        rows = mismatch_bias_rows(
+            np.array([a.positions for a, *_ in cases]),
+            np.array([s.delays for _, _, s, _, _ in cases]),
+            np.array([ud.position for _, ud, *_ in cases]),
+            np.array([ud.velocity for _, ud, *_ in cases]),
+            np.array([v for *_, v in cases]),
+            np.array([weight_vector(noise) for *_, noise, _ in cases]),
+        )
+        for i, case in enumerate(cases):
+            expected = frozen_velocity_mismatch_bias(*case)
+            report = velocity_mismatch_bias(*case)
+            one = (report.bias, report.predicted_rmse_total, report.predicted_rmse_position,
+                   report.predicted_rmse_clock)
+            assert all(type(x) is float for x in one[1:])
+            for got in ([x[i] for x in rows], one):
+                assert [np.float64(x).tobytes() for x in got] == [
+                    np.float64(x).tobytes() for x in expected
+                ]
+
+    def test_raises_as_the_frozen_one_trial_predictor(self):
+        # a device on an anchor, then on the line of collinear anchors
+        anchors = AnchorSet(np.array([[-300.0, 0.0], [-100.0, 0.0], [100.0, 0.0], [300.0, 0.0]]))
+        schedule = ResponseSchedule(0.01 * np.arange(1, 5))
+        noise = NoiseSpec.uniform(0.1, 4)
+        for position, error in (([100.0, 0.0], DegenerateGeometry), ([0.0, 0.0], SingularMatrix)):
+            ud = UdState(np.array(position), np.array([3.0, 4.0]), 0.0, 0.0)
+            with pytest.raises(error) as frozen:
+                frozen_velocity_mismatch_bias(anchors, ud, schedule, noise, np.zeros(2))
+            with pytest.raises(error) as report:
+                stationary_assumption_bias(anchors, ud, schedule, noise)
+            assert str(report.value) == str(frozen.value)
 
 
 class TestPositionClockCrlb:

@@ -358,6 +358,9 @@ class TestExperiment:
         "change",
         [
             {"delay_step_ms": [-5]},
+            # steps whose labels print alike: the later would overwrite the earlier
+            {"delay_step_ms": [10, 10]},
+            {"delay_step_ms": [10.0, 10.0000001]},
             {"sigma_m": 0},
             {"sigma_m": -1},
             {"sweep_values": [float("nan")]},
@@ -382,6 +385,18 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config") and err.count("\n") == 1
         assert not out_csv.exists()
+
+    def test_each_delay_step_gets_its_labels(self, tmp_path, capsys):
+        doc = {"kind": "stationary-baseline", "sweep_values": [10.0], "trials": 2,
+               "delay_step_ms": [10.0, 10.001]}
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(doc))
+        out_csv = tmp_path / "steps.csv"
+        assert main(["experiment", "--config", str(config), "--output", str(out_csv)]) == EXIT_OK
+        with open(out_csv, newline="") as fh:
+            labels = [row["mode"] for row in csv.DictReader(fh)]
+        assert labels == ["known-velocity@dt10.001ms", "known-velocity@dt10ms",
+                          "stationary@dt10.001ms", "stationary@dt10ms"]
 
     def test_unknown_preset(self, capsys):
         assert main(["experiment", "--preset", "nope"]) == EXIT_CONFIG

@@ -185,6 +185,9 @@ class TestConfig:
             {"delay_step_ms": [-5.0]},
             {"delay_step_ms": [0.0]},
             {"delay_step_ms": [float("inf")]},
+            # steps whose labels print alike: the later would overwrite the earlier
+            {"delay_step_ms": [10, 10]},
+            {"delay_step_ms": [10.0, 10.0000001]},
             {"trials": 2.7},
             {"jobs": 1.9},
             {"base_seed": 3.5},
@@ -626,71 +629,84 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
 def test_block_draw_matches_the_one_trial_api(name, monkeypatch):
-    # the block's solver inputs, truths and bias inputs, captured at the
+    # the block's solver, CRLB and bias-prediction inputs, captured at the
     # calls the block runner makes, against benchmark_scenario, the start
     # angle and generate drawn trial by trial from the same streams
     config, _ = RECORD_GOLDENS[name]
     solves, crlbs, biases = [], [], []
-    real = (montecarlo.solve_batch, analysis.position_clock_crlb, analysis.velocity_mismatch_bias)
+    real = (montecarlo.solve_batch, analysis.position_clock_crlb, analysis.mismatch_bias_rows)
 
-    def solve_batch(mode, anchors, delays, observed, weights, initial, velocity, *rest):
-        solves.append((mode, anchors, delays, observed, weights, initial, velocity))
-        return real[0](mode, anchors, delays, observed, weights, initial, velocity, *rest)
+    def solve_batch(mode, anchors, delays, observed, weights, initial, velocity, threshold,
+                    max_iter):
+        solves.append((mode, anchors, delays, observed, weights, initial, velocity, max_iter))
+        return real[0](mode, anchors, delays, observed, weights, initial, velocity, threshold,
+                       max_iter)
 
     def position_clock_crlb(mode, anchors, delays, truth, truth_velocity, weights):
-        crlbs.append((truth, truth_velocity))
+        crlbs.append((mode, truth, truth_velocity))
         return real[1](mode, anchors, delays, truth, truth_velocity, weights)
 
-    def velocity_mismatch_bias(anchors, ud, schedule, noise, assumed):
-        biases.append((ud.position, ud.velocity, schedule.delays, assumed))
-        return real[2](anchors, ud, schedule, noise, assumed)
+    def mismatch_bias_rows(anchors, delays, truth, truth_velocity, assumed, weights):
+        out = real[2](anchors, delays, truth, truth_velocity, assumed, weights)
+        biases.append((len(crlbs) - 1, anchors, delays, truth, truth_velocity, assumed, weights,
+                       out))
+        return out
 
     monkeypatch.setattr(montecarlo, "solve_batch", solve_batch)
     monkeypatch.setattr(analysis, "position_clock_crlb", position_clock_crlb)
-    monkeypatch.setattr(analysis, "velocity_mismatch_bias", velocity_mismatch_bias)
+    monkeypatch.setattr(analysis, "mismatch_bias_rows", mismatch_bias_rows)
     points, trials = (1, 0), range(5, 18)
     montecarlo._run_block(config, points, trials)
     references = {(i, t): one_trial_reference(config, i, t) for i in points for t in trials}
     n_labels = len(references[points[0], trials[0]][1])
-    # each call's label and (point, trial) rows: one call per label over
-    # every point's rows, or per label and point for the iteration profile
-    if config.kind == "iteration-profile":
-        calls = [(k, [(i, t) for t in trials]) for i in points for k in range(n_labels)]
-    else:
-        calls = [(k, [(i, t) for i in points for t in trials]) for k in range(n_labels)]
-    assert len(solves) == len(crlbs) == len(calls)
-    for (k, keys), solve_args, (truth, truth_v) in zip(calls, solves, crlbs):
-        mode, anchors, delays, observed, weights, initial, velocity = solve_args
-        assert len(initial) == len(keys)
+    # per label one CRLB and at most one prediction over every point's rows,
+    # and one solve; the iteration profile draws its trials once, at its
+    # first point, and times one solve per budget over them
+    profile = config.kind == "iteration-profile"
+    keys = [(i, t) for i in (points[:1] if profile else points) for t in trials]
+    budgets = [int(config.sweep_values[i]) for i in points] if profile else [10]
+    assert len(crlbs) == n_labels
+    assert len(solves) == n_labels * len(budgets)
+    predicted = {call[0]: call[1:] for call in biases}
+    assert len(predicted) == len(biases)  # one prediction per label at most
+    for k, (crlb_mode, truth, truth_v) in enumerate(crlbs):
+        label_solves = solves[k * len(budgets) : (k + 1) * len(budgets)]
+        assert [call[-1] for call in label_solves] == budgets
+        assert (k in predicted) == (references[keys[0]][1][k][-1] is not None)
         for row, key in enumerate(keys):
             sc, labels = references[key]
-            ref_mode, ref_delays, ref_observed, ref_weights, ref_initial, ref_velocity, _ = (
+            ref_mode, ref_delays, ref_observed, ref_weights, ref_initial, ref_velocity, assumed = (
                 labels[k]
             )
-            assert mode is ref_mode
-            assert same_bits(anchors[row], sc.anchors.positions)
-            assert same_bits(delays[row], ref_delays)
-            assert same_bits(observed[row], ref_observed)
-            assert same_bits(weights[row], ref_weights)
-            assert same_bits(initial[row], ref_initial)
-            assert same_bits(velocity[row], ref_velocity)
+            assert crlb_mode is ref_mode
             assert same_bits(truth[row], sc.ud.position)
             assert same_bits(truth_v[row], sc.ud.velocity)
-    # bias predictions are per trial: point by point, label by label
-    pending_biases = iter(biases)
-    for i in points:
-        for k in range(n_labels):
-            for t in trials:
-                sc, labels = references[i, t]
-                _, ref_delays, *_, assumed = labels[k]
-                if assumed is None:
-                    continue
-                bias_position, bias_velocity, bias_delays, bias_assumed = next(pending_biases)
-                assert same_bits(bias_position, sc.ud.position)
-                assert same_bits(bias_velocity, sc.ud.velocity)
-                assert same_bits(bias_delays, ref_delays)
-                assert same_bits(bias_assumed, assumed)
-    assert next(pending_biases, None) is None
+            for mode, anchors, delays, observed, weights, initial, velocity, _ in label_solves:
+                assert len(initial) == len(keys)
+                assert mode is ref_mode
+                assert same_bits(anchors[row], sc.anchors.positions)
+                assert same_bits(delays[row], ref_delays)
+                assert same_bits(observed[row], ref_observed)
+                assert same_bits(weights[row], ref_weights)
+                assert same_bits(initial[row], ref_initial)
+                assert same_bits(velocity[row], ref_velocity)
+            if assumed is None:
+                continue
+            anchors, delays, bias_truth, bias_v, bias_assumed, weights, out = predicted[k]
+            assert same_bits(anchors[row], sc.anchors.positions)
+            assert same_bits(delays[row], ref_delays)
+            assert same_bits(bias_truth[row], sc.ud.position)
+            assert same_bits(bias_v[row], sc.ud.velocity)
+            assert same_bits(bias_assumed[row], assumed)
+            assert same_bits(weights[row], ref_weights)  # all 2M rows: the label fits them all
+            report = analysis.velocity_mismatch_bias(
+                sc.anchors, sc.ud, ResponseSchedule(ref_delays), sc.noise, assumed
+            )
+            assert same_bits(out[0][row], report.bias)
+            assert same_bits([x[row] for x in out[1:]], [
+                report.predicted_rmse_total, report.predicted_rmse_position,
+                report.predicted_rmse_clock,
+            ])
 
 
 class RecordingPool:

@@ -4,14 +4,16 @@
 
 Runs ``perfbench/run.py --trace 0`` once on every workload that
 ``BENCHMARK.json`` lists, for its ``run_seconds``, then the tier-1 test suite
-(the command in ROADMAP.md) once, and writes to OUT.json: each workload's
-JSON result lines, the suite's summary line with its wall and CPU time, and
-the line counts ``wc -l src/toaloc/*.py`` prints, the core name and
-thread count of numpy's and scipy's OpenBLAS copies, which decide the result
-bits (kernel) and the speed (threads), and the checkout's HEAD with whether
-its tracked files differ from HEAD. Run it from anywhere; it
-works on the checkout it sits in. A workload or suite that fails is
-recorded with its exit code, and the script exits 1.
+(the command in ROADMAP.md) once, then ``toaloc experiment`` on the
+``CLI_PRESETS`` that no workload runs, and writes to OUT.json: each
+workload's JSON result lines, the suite's summary line with its wall and CPU
+time, each preset's whole-process wall times and their best, the line
+counts ``wc -l src/toaloc/*.py`` prints, the ``OPENBLAS_CORETYPE`` it ran
+under with the core name and thread count of numpy's and scipy's OpenBLAS
+copies, which decide the result bits (kernel) and the speed (threads), and
+the checkout's HEAD with whether its tracked files differ from HEAD. Run it
+from anywhere; it works on the checkout it sits in. A workload, suite or
+preset that fails is recorded with its exit code, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1  # the workload seed; perfbench checks seed 20260823 against its digests itself
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# the experiment kinds no perfbench workload runs, timed whole through the CLI:
+# best of CLI_REPEATS runs of --trials CLI_TRIALS --jobs 1
+CLI_PRESETS = ("paper-stationary-baseline", "paper-deviated-velocity", "paper-iteration-profile")
+CLI_TRIALS, CLI_REPEATS = 2000, 3
 
 
 def run_workload(name: str, seconds: int) -> dict:
@@ -55,6 +62,23 @@ def run_tier1() -> dict:
     }
 
 
+def run_preset(name: str) -> dict:
+    """Wall times of whole ``toaloc experiment --preset`` processes, with one
+    BLAS thread as perfbench/run.py sets it, writing to a scratch directory."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs, code = [], 0
+    with tempfile.TemporaryDirectory() as scratch:
+        argv = [sys.executable, "-m", "toaloc.cli", "experiment", "--preset", name, "--trials",
+                str(CLI_TRIALS), "--jobs", "1", "--output", os.path.join(scratch, "out.csv")]
+        for _ in range(CLI_REPEATS):
+            start = perf_counter()
+            done = subprocess.run(argv, env=env, capture_output=True)
+            runs.append(round(perf_counter() - start, 3))
+            code = code or done.returncode
+    return {"exit_code": code, "trials": CLI_TRIALS, "wall_s": runs, "best_s": min(runs)}
+
+
 # Prints each OpenBLAS copy's core name and thread count as JSON: numpy's
 # copy exports its symbols with the suffix 64_, scipy's with none. A copy
 # that does not export one reports null for it.
@@ -75,13 +99,16 @@ print(json.dumps(copies))
 
 
 def openblas() -> dict:
-    """Each OpenBLAS copy's core name and thread count, in a process started
-    with OPENBLAS_NUM_THREADS=1 as perfbench/run.py sets it (an
-    OPENBLAS_CORETYPE in the environment passes through)."""
+    """The OPENBLAS_CORETYPE in the environment (None when unset), which passes
+    through, and each OpenBLAS copy's core name and thread count, in a process
+    started with OPENBLAS_NUM_THREADS=1 as perfbench/run.py sets it. The core
+    name alone cannot tell some kernels apart: Prescott and Core2 both read
+    Katmai."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
                           text=True)
-    return json.loads(done.stdout) if done.returncode == 0 else {"exit_code": done.returncode}
+    copies = json.loads(done.stdout) if done.returncode == 0 else {"exit_code": done.returncode}
+    return {"coretype": os.environ.get("OPENBLAS_CORETYPE"), **copies}
 
 
 def git_head() -> dict:
@@ -113,6 +140,7 @@ def main(argv: list[str]) -> int:
             for w in benchmark["workloads"]
         },
         "tier1": run_tier1(),
+        "cli_presets": {name: run_preset(name) for name in CLI_PRESETS},
         "src_lines": src_lines(),
         "openblas": openblas(),
         "git": git_head(),
@@ -121,6 +149,7 @@ def main(argv: list[str]) -> int:
     failed = [w for w, r in record["workloads"].items() if r["exit_code"] != 0]
     if record["tier1"]["exit_code"] != 0:
         failed.append("tier-1")
+    failed += [p for p, r in record["cli_presets"].items() if r["exit_code"] != 0]
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
