@@ -374,6 +374,7 @@ def cmd_experiment(args) -> int:
     with _reading("experiment config"):
         config = montecarlo.ExperimentConfig.from_dict(doc)
 
+    montecarlo._one_blas_thread()  # as in pool workers: a --jobs 1 run solves in this process
     summaries = montecarlo.run_experiment(config)
     csv_path = args.output or "experiment.csv"
     montecarlo.write_csv(summaries, csv_path)

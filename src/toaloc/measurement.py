@@ -200,21 +200,14 @@ def weight_vector(noise: NoiseSpec) -> np.ndarray:
 
 def synthesize(
     anchors_m: np.ndarray, delays: np.ndarray, position: np.ndarray, velocity: np.ndarray,
-    clock_offset_m, clock_drift_mps, noise: NoiseSpec, z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy stacked measurements (..., 2M) and their weighting diagonal (2M,).
-
-    The measurements are forward's model plus the standard normals z
-    (..., 2M) scaled by the request sigmas, then the response sigma; the
-    state may carry leading batch axes as in forward. When any sigma is zero
-    the measurements are exact at that index and every weight falls back to
-    one (a zero-variance measurement has no finite ML weight).
-    """
-    m = noise.sigma_request.size
-    sigma = np.concatenate([noise.sigma_request, np.full(m, noise.sigma_response)])
+    clock_offset_m, clock_drift_mps, sigma, z: np.ndarray,
+) -> np.ndarray:
+    """Noisy stacked measurements (..., 2M): forward's model plus the standard
+    normals z (..., 2M) times ``sigma``, which broadcasts against z (a float,
+    per-row sigmas (..., 1) or 2M sigmas), on states batched as in forward.
+    Weights are left to generate and the Monte-Carlo block (weight_rows)."""
     model = forward(anchors_m, delays, position, velocity, clock_offset_m, clock_drift_mps)
-    weights = weight_vector(noise) if (sigma > 0.0).all() else np.ones(2 * m)
-    return model + z * sigma, weights
+    return model + z * sigma
 
 
 def generate(scenario: Scenario, rng: np.random.Generator) -> ToaMeasurementSet:
@@ -222,14 +215,19 @@ def generate(scenario: Scenario, rng: np.random.Generator) -> ToaMeasurementSet:
 
     Request noises are drawn first, then response noises, so two scenarios
     differing only in their schedules produce identical request halves for
-    the same generator state. Response noises are i.i.d. per anchor.
+    the same generator state. Response noises are i.i.d. per anchor. The
+    weights are weight_vector(noise); when any sigma is zero, that
+    measurement is exact and every weight falls back to one (a
+    zero-variance measurement has no finite ML weight).
     """
     ud = scenario.ud
-    m = scenario.anchors.count
-    stacked, weights = synthesize(
+    noise, m = scenario.noise, scenario.anchors.count
+    sigma = np.concatenate([noise.sigma_request, np.full(m, noise.sigma_response)])
+    stacked = synthesize(
         scenario.anchors.positions, scenario.schedule.delays, ud.position, ud.velocity,
-        ud.clock_offset_m, ud.clock_drift_mps, scenario.noise, rng.standard_normal(2 * m),
+        ud.clock_offset_m, ud.clock_drift_mps, sigma, rng.standard_normal(2 * m),
     )
+    weights = weight_vector(noise) if (sigma > 0.0).all() else np.ones(2 * m)
     return ToaMeasurementSet(
         request=stacked[:m], response=stacked[m:], schedule=scenario.schedule, weights=weights
     )

@@ -7,10 +7,10 @@ profiling. Per-trial seeds are derived from (base seed, sweep index, trial
 index) with a splitmix64-style mix, so results are byte-identical regardless
 of how trials are scheduled across workers.
 
-A block is one range of trial indices taken at every sweep point: each of
-its outcome labels is one batched solve, one batched CRLB and, given an
-assumed velocity, one batched bias prediction over all those points' rows.
-The iteration profile draws its trials once and times one solve per budget.
+A block is one range of trial indices taken at every sweep point, set up in
+one pass over all its rows: each of its outcome labels is then one batched
+solve, one batched CRLB and, given an assumed velocity, one batched bias
+prediction. The iteration profile draws once and times one solve per budget.
 
 Each trial draws from the stream ``np.random.default_rng(seed)`` would give.
 A block of at least ``_HASHED_BLOCK`` seeds (trials times drawn points)
@@ -37,7 +37,7 @@ from . import analysis
 # default_initial, solve, generate and benchmark_scenario are unused here but
 # stay importable: perfbench/spans.py wraps them at these names
 from .estimator import Mode, default_initial, solve, solve_batch  # noqa: F401
-from .measurement import generate, synthesize  # noqa: F401
+from .measurement import generate, synthesize, weight_rows  # noqa: F401
 from .scenario import SPEED_OF_LIGHT, benchmark_parts, benchmark_scenario  # noqa: F401
 from .scenario import BENCHMARK_ANCHORS_M, benchmark_states, direction
 
@@ -251,15 +251,10 @@ class TrialRecord:
     outcomes: dict[str, ModeOutcome] = field(default_factory=dict)
 
 
-def _join(arrays):
-    """Arrays of consecutive rows joined (None stays None)."""
-    return None if arrays[0] is None else np.concatenate(arrays)
-
-
 def _concat(records: list[TrialRecord], label: str) -> ModeOutcome:
-    """One label's columns of consecutive records, joined in record order."""
+    """One label's columns of consecutive records joined in order; None stays None."""
     columns = [[getattr(r.outcomes[label], f.name) for r in records] for f in fields(ModeOutcome)]
-    return ModeOutcome(*map(_join, columns))
+    return ModeOutcome(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRecord]:
@@ -269,10 +264,11 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
     Only the draw is per trial: each (point, trial) generator fills its row
     of raw variates in the order benchmark_scenario, the start angle,
     generate (per response-delay step) and the deviation angle draw them.
-    Each label's solve, CRLB and bias prediction then take every drawn
-    point's rows at once, and the iteration profile's one draw is solved
-    once per budget. A one-point block joins no arrays. The columns depend
-    neither on the block's size nor on the points that share it.
+    The set-up, from a column of each row's sweep value, and each label's
+    solve, CRLB and bias prediction then take all drawn rows at once; the
+    iteration profile solves its one draw per budget. A one-point block's
+    record takes the columns unsplit. The columns depend neither on the
+    block's size nor on the points that share it.
     """
     # the iteration profile varies only the solver budget: it draws its trials
     # once and solves them at every budget, so that the per-budget RMSEs are paired
@@ -282,51 +278,43 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
     draws = points[:1] if profile else points
     seeds = [derive_seed(config.base_seed, 0 if profile else i, trial)
              for i in draws for trial in trial_indices]
-    u = np.empty((len(seeds), 8 if mismatch else 7))
-    z = np.empty((len(seeds), len(config.delay_step_ms) if stationary else 1,
-                  2 * len(BENCHMARK_ANCHORS_M)))
+    rows, (m, n) = len(seeds), np.shape(BENCHMARK_ANCHORS_M)
+    u = np.empty((rows, 8 if mismatch else 7))
+    z = np.empty((rows, len(config.delay_step_ms) if stationary else 1, 2 * m))
     for row, rng in enumerate(_generators(seeds)):
         rng.random(out=u[row, :7])
         rng.standard_normal(out=z[row])
         if mismatch:
             rng.random(out=u[row, 7:])
 
-    # per drawn point: truths, start, threshold and the mismatch study's assumed velocity,
-    # then each epoch's anchors, delays and weights (repeated per row) and measurements
-    columns = []
-    for p, sweep_index in enumerate(draws):
-        sweep_value = config.sweep_values[sweep_index]
-        sigma = sweep_value if config.kind == NOISE_SWEEP else config.sigma_m
-        speed = sweep_value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
-        radius = sweep_value if config.kind == SUCCESS_RATE else config.initial_radius_m
-        # anchors, schedule and noise of each epoch a trial synthesizes: the
-        # stationary baseline has one per response-delay step in its grid
-        parts = (
-            [benchmark_parts(sigma, step_ms * 1e-3) for step_ms in config.delay_step_ms]
-            if stationary else [benchmark_parts(sigma)]
-        )
-        u_p, z_p = (u, z) if len(draws) == 1 else (u[p * t : (p + 1) * t], z[p * t : (p + 1) * t])
-        position, velocity, offset, drift = benchmark_states(u_p[:, :6], speed)
-        offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
-        columns.append([
-            position, velocity, offset_m, position + radius * direction(u_p[:, 6]),
-            # the iteration profile forces exactly max_iter iterations
-            np.array([1e-300 if profile else sigma / 10.0] * t),
-            # the known-velocity estimator fed a velocity deviated from the
-            # truth in a random direction by the swept norm
-            velocity + sweep_value * direction(u_p[:, 7]) if mismatch else None,
-        ])
-        for k, (anchors, schedule, noise) in enumerate(parts):
-            stacked, weights = synthesize(
-                anchors.positions, schedule.delays, position, velocity, offset_m[:, None],
-                drift_mps[:, None], noise, z_p[:, k],
-            )
-            repeat = [x[None].repeat(t, 0) for x in (anchors.positions, schedule.delays, weights)]
-            columns[-1] += [*repeat, stacked]
-    position, velocity, offset_m, start, threshold, deviated, *epochs = (
-        columns[0] if len(draws) == 1 else map(_join, zip(*columns))
+    # each drawn point's sweep value and sigma, then each drawn row's, as columns
+    swept = np.array([config.sweep_values[i] for i in draws], dtype=float)[:, None]
+    sigmas = swept if config.kind == NOISE_SWEEP else np.full_like(swept, config.sigma_m)
+    value, sigma = swept.repeat(t, axis=0), sigmas.repeat(t, axis=0)
+    speed = value if config.kind in (SPEED_SWEEP, STATIONARY_BASELINE) else None
+    radius = value if config.kind == SUCCESS_RATE else config.initial_radius_m
+    position, velocity, offset, drift = benchmark_states(u[:, :6], speed)
+    offset_m, drift_mps = SPEED_OF_LIGHT * offset, SPEED_OF_LIGHT * drift
+    start = position + radius * direction(u[:, 6])
+    # the iteration profile forces exactly max_iter iterations
+    threshold = np.full(rows, 1e-300) if profile else sigma[:, 0] / 10.0
+    # the known-velocity estimator fed a velocity deviated from the truth in
+    # a random direction by the swept norm
+    deviated = velocity + value * direction(u[:, 7]) if mismatch else None
+    # weight_vector of each point's noise, as fim weighs: every sigma of an
+    # ExperimentConfig is positive
+    row_weights = weight_rows(sigmas.repeat(m, axis=1), sigmas[:, 0]).repeat(t, axis=0)
+    # anchors and schedule of each epoch a trial synthesizes: the stationary
+    # baseline has one per response-delay step in its grid
+    parts = (
+        [benchmark_parts(config.sigma_m, step_ms * 1e-3) for step_ms in config.delay_step_ms]
+        if stationary else [benchmark_parts(config.sigma_m)]
     )
-    rows, (m, n) = len(position), parts[0][0].positions.shape
+    anchors_m = parts[0][0].positions[None].repeat(rows, 0)
+    epochs = [(schedule.delays[None].repeat(rows, 0),
+               synthesize(anchors_m, schedule.delays, position, velocity, offset_m[:, None],
+                          drift_mps[:, None], sigma, z[:, k]))
+              for k, (_, schedule, _) in enumerate(parts)]
 
     # each label's mode, epoch, velocity for the solver (zeros if None) and
     # assumed velocity for the bias predictor (no prediction if None)
@@ -345,18 +333,17 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
     budgets = [int(config.sweep_values[i]) for i in points] if profile else [10]
     records = [TrialRecord() for _ in points]
     for label, (mode, k, known, assumed) in runs.items():
-        anchors_m, delays, weights, stacked = epochs[4 * k : 4 * k + 4]
+        delays, stacked = epochs[k]
         fitted = m if mode is Mode.ONE_WAY else 2 * m
-        observed, weights = stacked[:, :fitted], weights[:, :fitted]
+        observed, weights = stacked[:, :fitted], row_weights[:, :fitted]
         # default_initial's iterate: the start, the first response as clock
         # offset, zero drift and velocity
         initial = np.zeros((rows, mode.param_dim(n)))
         initial[:, :n] = start
         initial[:, n] = stacked[:, m]
         known = np.zeros((rows, n)) if known is None else known
-        # synthesize weights by weight_vector(noise), as fim does: every sigma
-        # of an ExperimentConfig is positive. A label with an assumed velocity
-        # fits all 2M rows, so its fitted weights are the predictor's too
+        # a label with an assumed velocity fits all 2M rows, so its fitted
+        # weights are the predictor's too
         pos_crlb, clk_crlb = analysis.position_clock_crlb(
             mode, anchors_m, delays, position, velocity, weights
         )
@@ -398,7 +385,7 @@ def _run_block(config: ExperimentConfig, points, trial_indices) -> list[TrialRec
                 pred_rmse_clk=predicted[3],
                 failed=failed,
             )
-            for q in range(len(draws)):  # each point's rows of the joined columns
+            for q in range(len(draws)):  # each point's rows of the block's columns
                 records[b + q].outcomes[label] = outcome if len(draws) == 1 else ModeOutcome(
                     *(c if c is None else c[q * t : (q + 1) * t] for c in vars(outcome).values())
                 )
@@ -480,9 +467,9 @@ def aggregate(
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: one thread for numpy's and scipy's OpenBLAS copies,
-    which forked workers would oversubscribe the CPUs with; these tiny
-    systems gain nothing from more. A copy without the setter is left alone."""
+    """One thread for numpy's and scipy's OpenBLAS copies, in pool workers,
+    which would oversubscribe the CPUs, and in the CLI's own process: these
+    tiny systems gain nothing from more. A copy without the setter is left alone."""
     import ctypes
     import numpy.linalg._umath_linalg as numpy_blas  # each is linked to its package's copy
     import scipy.linalg._flapack as scipy_blas

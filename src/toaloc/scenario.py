@@ -229,12 +229,13 @@ def direction(u) -> np.ndarray:
     return out
 
 
-def benchmark_states(u: np.ndarray, speed_mps: float | None = None):
+def benchmark_states(u: np.ndarray, speed_mps: float | np.ndarray | None = None):
     """Device states of the benchmark distribution from raw U[0, 1) doubles, u
     (..., 6) in benchmark_scenario's draw order, bit for bit: position and
-    velocity (..., 2), clock offset (...) in s and clock drift (...) in s/s."""
+    velocity (..., 2), clock offset (...) in s and clock drift (...) in s/s.
+    A fixed speed is one float, or a column (..., 1) of per-row speeds."""
     v = _STATE_LOW + _STATE_SPAN * u[..., :5]
-    speed = v[..., 4:] if speed_mps is None else float(speed_mps)
+    speed = v[..., 4:] if speed_mps is None else np.asarray(speed_mps, dtype=float)
     velocity = speed * direction(u[..., 5])
     return v[..., :2], velocity, v[..., 2], ppm_to_drift(v[..., 3])
 

@@ -13,6 +13,7 @@ from toaloc.measurement import (
     ToaMeasurementSet,
     forward,
     generate,
+    synthesize,
     weight_rows,
     weight_vector,
 )
@@ -347,6 +348,22 @@ class TestBatchedForward:
                 float(drift[i, 0]), response=layout["response"],
             )
             assert plain.tobytes() == h1.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 7, 8, 128])
+    def test_synthesized_rows_with_their_sigmas_equal_one_row_calls(self, t):
+        # per-row sigmas (T, 1) give each row the bits of its one-row call
+        # with its sigma as a float
+        rng = np.random.default_rng(22)
+        sc = benchmark_scenario(rng)
+        position, velocity = rng.uniform(-250, 250, (t, 2)), rng.uniform(-50, 50, (t, 2))
+        offset, drift = rng.uniform(-3e8, 3e8, (t, 1)), rng.uniform(-3e3, 3e3, (t, 1))
+        sigma, z = rng.uniform(0.01, 5.0, (t, 1)), rng.standard_normal((t, 8))
+        args = sc.anchors.positions, sc.schedule.delays
+        stacked = synthesize(*args, position, velocity, offset, drift, sigma, z)
+        for i in range(t):
+            one = synthesize(*args, position[i], velocity[i], float(offset[i, 0]),
+                             float(drift[i, 0]), float(sigma[i, 0]), z[i])
+            assert stacked[i].tobytes() == one.tobytes()
 
     def test_degenerate_rows_are_marked(self):
         anchors = np.array([[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]] * 3)

@@ -512,10 +512,12 @@ def test_block_sizes_agree_under_each_blas_kernel(coretype):
     assert result["stacked"] == (coretype != "Prescott")
 
 
-def test_run_trial_is_a_block_of_one():
+@pytest.mark.parametrize("name", sorted(RECORD_GOLDENS))
+def test_run_trial_is_a_block_of_one(name):
     # a block at both sweep points gives each point the rows of its trials
-    # run one at a time
-    config = RECORD_GOLDENS["noise-sweep"][0]
+    # run one at a time, whichever of sigma, speed, start radius, deviation
+    # or delay grid the kind sweeps
+    config = RECORD_GOLDENS[name][0]
     block = montecarlo._run_block(config, (0, 1), range(10, 20))
     assert len(block) == 2
     for sweep_index, record in enumerate(block):
@@ -766,32 +768,44 @@ def test_pool_chunks_hold_whole_blocks(monkeypatch, jobs, trials, chunksize):
     ]
 
 
-# reads both OpenBLAS copies' thread counts before and after the pool
-# initializer, in a process that asked for two threads
+# reads both OpenBLAS copies' thread counts before and after a call
 BLAS_THREADS = """
 import ctypes, json
 import numpy.linalg._umath_linalg as numpy_blas, scipy.linalg._flapack as scipy_blas
-from toaloc import montecarlo
+from toaloc import cli, montecarlo
 getters = [getattr(ctypes.CDLL(m.__file__), name, None) for m, name in (
     (numpy_blas, "scipy_openblas_get_num_threads64_"),
     (scipy_blas, "scipy_openblas_get_num_threads"),
 )]
 counts = lambda: [None if g is None else g() for g in getters]
 before = counts()
-montecarlo._one_blas_thread()
+{call}
 print(json.dumps([before, counts()]))
 """
 
 
-def test_pool_initializer_pins_one_blas_thread():
+def blas_threads_after(call: str, cwd=None) -> list:
+    """Both OpenBLAS copies' thread counts after ``call``, run in a process
+    that asked for two threads."""
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True,
-                          text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS.format(call=call)], env=env,
+                          cwd=cwd, capture_output=True, text=True, check=True)
     before, after = json.loads(done.stdout)
     if None in before:
         pytest.skip("an OpenBLAS copy does not export its thread count")
-    assert after == [1, 1]
+    return after
+
+
+def test_pool_initializer_pins_one_blas_thread():
+    assert blas_threads_after("montecarlo._one_blas_thread()") == [1, 1]
+
+
+def test_experiment_command_pins_one_blas_thread(tmp_path):
+    # a --jobs 1 run solves in the command's own process, as a pool worker does
+    call = "cli.main(['experiment', '--kind', 'noise-sweep', '--trials', '1'])"
+    assert blas_threads_after(call, tmp_path) == [1, 1]
+    assert (tmp_path / "experiment.csv").exists()
 
 
 def test_pool_initializer_skips_a_copy_without_the_setter(monkeypatch):

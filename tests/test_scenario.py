@@ -8,6 +8,7 @@ from toaloc.scenario import (
     ResponseSchedule,
     Scenario,
     benchmark_scenario,
+    benchmark_states,
     ppm_to_drift,
 )
 
@@ -61,6 +62,17 @@ class TestBenchmarkScenario:
     def test_fixed_speed_override(self):
         sc = benchmark_scenario(np.random.default_rng(14), speed_mps=30.0)
         assert np.linalg.norm(sc.ud.velocity) == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("t", [1, 7, 8, 128])
+    def test_speed_column_rows_match_one_row_calls(self, t):
+        # a (T, 1) column of fixed speeds gives each row the bits of its
+        # one-row call with that speed as a float
+        rng = np.random.default_rng(16)
+        u, speeds = rng.random((t, 6)), rng.uniform(0.0, 50.0, (t, 1))
+        states = benchmark_states(u, speeds)
+        for i in range(t):
+            one = benchmark_states(u[i], float(speeds[i, 0]))
+            assert [x[i].tobytes() for x in states] == [np.asarray(x).tobytes() for x in one]
 
     def test_fixed_parts_shared_read_only(self):
         rng = np.random.default_rng(15)

@@ -32,7 +32,8 @@ SEED = 1  # the workload seed; perfbench checks seed 20260823 against its digest
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # the experiment kinds no perfbench workload runs, timed whole through the CLI:
 # best of CLI_REPEATS runs of --trials CLI_TRIALS --jobs 1
-CLI_PRESETS = ("paper-stationary-baseline", "paper-deviated-velocity", "paper-iteration-profile")
+CLI_PRESETS = ("paper-speed-sweep", "paper-stationary-baseline", "paper-deviated-velocity",
+               "paper-iteration-profile")
 CLI_TRIALS, CLI_REPEATS = 2000, 3
 
 
