@@ -79,7 +79,7 @@ def _design_at_truth(mode: Mode, anchors_m, delays, position, velocity) -> np.nd
     stationary baseline assumes zero velocity."""
     if mode is Mode.STATIONARY:
         velocity = np.zeros_like(velocity)
-    return forward(anchors_m, delays, position, velocity, 0.0, 0.0, jacobian=True, **mode.layout)[1]
+    return forward(anchors_m, delays, position, velocity, 0.0, 0.0, **mode.layout)[1]
 
 
 def _fisher(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -284,8 +284,8 @@ def mismatch_bias_rows(anchors_m: np.ndarray, delays: np.ndarray, positions: np.
     n = positions.shape[-1]
     # with zero clock states the model rows are the bare ranges, so the
     # request halves cancel exactly and g is the mismatched design matrix
-    h, g = forward(anchors_m, delays, positions, assumed, 0.0, 0.0, jacobian=True)
-    r = h - forward(anchors_m, delays, positions, velocities, 0.0, 0.0)
+    h, g = forward(anchors_m, delays, positions, assumed, 0.0, 0.0)
+    r = h - forward(anchors_m, delays, positions, velocities, 0.0, 0.0)[0]
     gw = g * weights[..., None]
     q = invert_spd_rows(gw.swapaxes(-1, -2) @ g)
     mu = (q @ (gw.swapaxes(-1, -2) @ r[..., None]))[..., 0]

@@ -183,12 +183,12 @@ def _resolve_velocity(theta: ParamVector, config_velocity: np.ndarray | None) ->
 
 def _forward(
     theta: ParamVector, anchors: AnchorSet, schedule: ResponseSchedule,
-    known_velocity: np.ndarray | None, jacobian: bool = False,
+    known_velocity: np.ndarray | None,
 ):
     return forward(
         anchors.positions, schedule.delays, theta.position,
         _resolve_velocity(theta, known_velocity), theta.clock_offset_m, theta.clock_drift_mps,
-        jacobian=jacobian, **theta.mode.layout,
+        **theta.mode.layout,
     )
 
 
@@ -199,7 +199,7 @@ def model_h(
     known_velocity: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free measurement model at the parameter vector theta."""
-    return _forward(theta, anchors, schedule, known_velocity)
+    return _forward(theta, anchors, schedule, known_velocity)[0]
 
 
 def design_matrix(
@@ -209,7 +209,7 @@ def design_matrix(
     known_velocity: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian of model_h with respect to theta, in range units."""
-    return _forward(theta, anchors, schedule, known_velocity, jacobian=True)[1]
+    return _forward(theta, anchors, schedule, known_velocity)[1]
 
 
 @dataclass(slots=True)
@@ -282,7 +282,7 @@ def _step(mode: Mode, n: int, rows: _Rows, out: BatchEstimate):
             h, rows.g = forward(
                 rows.anchors, rows.delays, theta[:, :n],
                 theta[:, n + 2 :] if velocity_columns else rows.velocity, theta[:, n : n + 1],
-                theta[:, n + 1 : n + 2] if response else None, response, True, velocity_columns,
+                theta[:, n + 1 : n + 2] if response else None, response, velocity_columns,
                 rows.shift, rows.g,
             )
         except DegenerateGeometry as exc:

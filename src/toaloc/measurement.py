@@ -11,8 +11,8 @@ range-equivalent meters:
 where p, v, b, omega are the device state at request transmission time.
 All noises are independent zero-mean Gaussians, so the ML weighting is the
 diagonal diag(1/sigma^2), held as a vector of 2M inverse variances.
-``forward`` evaluates this model and its Jacobian for synthesis, the solver
-and the Fisher information.
+``forward`` returns this model and its Jacobian, as (h, G), to synthesis,
+the solver and the Fisher information.
 """
 
 from __future__ import annotations
@@ -116,14 +116,15 @@ class ToaMeasurementSet:
 def forward(
     anchors_m: np.ndarray, delays: np.ndarray | None, position: np.ndarray,
     velocity: np.ndarray | None, clock_offset_m, clock_drift_mps,
-    response: bool = True, jacobian: bool = False, velocity_columns: bool = False,
+    response: bool = True, velocity_columns: bool = False,
     shift: np.ndarray | None = None, g: np.ndarray | None = None,
 ):
-    """Noise-free stacked model h and, with ``jacobian``, its Jacobian G.
+    """Noise-free stacked model h and its Jacobian G, returned as (h, G).
 
     h holds the M request rows, then with ``response`` the M response rows.
     G is C-ordered with columns [p, c*b], then [c*omega] with ``response``
-    and [v] with ``velocity_columns``. Returns h, or (h, G) with ``jacobian``.
+    and [v] with ``velocity_columns``. h adds the clock offset c*b times G's
+    offset column (-1 or +1): the bits of subtracting c*b, or adding it.
 
     Every argument may carry leading batch axes, one row per epoch, which the
     clock offset and drift carry as a trailing axis of length one; each row
@@ -149,27 +150,21 @@ def forward(
         near = h.min(axis=-1) < MIN_RANGE_M
         if near.any():
             raise DegenerateGeometry("position coincides with an anchor", near)
-    if jacobian:
-        if g is None:
-            columns = 2 * n + 2 if velocity_columns else n + 2 if response else n + 1
-            g = np.zeros(lead + (rows, columns))
-            g[..., :m, n] = -1.0
-            if response:
-                g[..., m:, n] = 1.0
-                g[..., m:, n + 1] = delays
-        np.divide(u, h[..., None], out=g[..., :n])
-        if velocity_columns:
-            np.multiply(g[..., m:, :n], delays[..., :, None], out=g[..., m:, n + 2 :])
-        # the clock-offset column is -1 on request rows and +1 on response
-        # rows: adding its multiple is exactly the subtraction and addition below
-        h += g[..., n] * clock_offset_m
-    else:
-        h[..., :m] -= clock_offset_m
+    if g is None:
+        columns = 2 * n + 2 if velocity_columns else n + 2 if response else n + 1
+        g = np.zeros(lead + (rows, columns))
+        g[..., :m, n] = -1.0
         if response:
-            h[..., m:] += clock_offset_m
+            g[..., m:, n] = 1.0
+            g[..., m:, n + 1] = delays
+    np.divide(u, h[..., None], out=g[..., :n])
+    if velocity_columns:
+        np.multiply(g[..., m:, :n], delays[..., :, None], out=g[..., m:, n + 2 :])
+    # G's offset column is exactly -1 or +1, and x + (-1*c) is x - c in IEEE arithmetic
+    h += g[..., n] * clock_offset_m
     if response:
         h[..., m:] += clock_drift_mps * delays
-    return (h, g) if jacobian else h
+    return h, g
 
 
 def weight_rows(sigma_request: np.ndarray, sigma_response) -> np.ndarray:
@@ -206,7 +201,7 @@ def synthesize(
     normals z (..., 2M) times ``sigma``, which broadcasts against z (a float,
     per-row sigmas (..., 1) or 2M sigmas), on states batched as in forward.
     Weights are left to generate and the Monte-Carlo block (weight_rows)."""
-    model = forward(anchors_m, delays, position, velocity, clock_offset_m, clock_drift_mps)
+    model = forward(anchors_m, delays, position, velocity, clock_offset_m, clock_drift_mps)[0]
     return model + z * sigma
 
 

@@ -15,8 +15,9 @@ prediction. The iteration profile draws once and times one solve per budget.
 Each trial draws from the stream ``np.random.default_rng(seed)`` would give.
 A block of at least ``_HASHED_BLOCK`` seeds (trials times drawn points)
 does not build a generator per trial: it hashes all its seeds at once as
-``SeedSequence`` does (NEP 19), in numpy over uint32 words, and reseeds one
-shared ``PCG64`` per trial as its ``srandom`` does (O'Neill 2014). Shorter
+``SeedSequence`` does (NEP 19), in numpy over uint32 words, and reseeds a
+``PCG64`` of its own per trial as its ``srandom`` does (O'Neill 2014), so
+blocks running in concurrent threads never share a generator. Shorter
 blocks, one-trial units among them, seed ``default_rng`` per trial: below
 that length the hash's fixed cost is more than it saves.
 """
@@ -27,6 +28,7 @@ import csv
 import gc
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -121,13 +123,9 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Blocks of at least this many seeds (trials times drawn points) hash them
-# together; shorter ones seed default_rng per trial. Measured crossover: 6
-# to 8 seeds.
-_HASHED_BLOCK = 8
-# the one bit generator that hashed blocks reseed per trial, and its
-# Generator: blocks of one process must not draw from it concurrently
-_PCG = np.random.PCG64(0)
-_SHARED = np.random.Generator(_PCG)
+# together; shorter ones seed default_rng per trial. Measured crossover, with
+# the generator each hashed block builds: 9 to 10 seeds.
+_HASHED_BLOCK = 10
 
 
 def _seed_states(seeds) -> np.ndarray:
@@ -148,18 +146,20 @@ def _seed_states(seeds) -> np.ndarray:
 
 def _generators(seeds):
     """One generator per seed, in order, each at the start of the stream of
-    ``np.random.default_rng(seed)``. A hashed block yields the same shared
-    Generator each time: draw from it before taking the next."""
+    ``np.random.default_rng(seed)``. A hashed block yields one Generator of
+    its own, reseeded each time: draw from it before taking the next."""
     if len(seeds) < _HASHED_BLOCK:
         yield from map(np.random.default_rng, seeds)
         return
+    pcg = np.random.PCG64(0)  # this call's own, so concurrent blocks never share one
+    rng = np.random.Generator(pcg)
     for s0, s1, s2, s3 in _seed_states(seeds).tolist():
         # PCG64's srandom: state and increment from the two 128-bit halves
         inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
         state = ((inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _MASK128
-        _PCG.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield _SHARED
+        pcg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def whole_number(value, name: str) -> int:
@@ -182,6 +182,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "base_seed", "jobs"):  # Python or numpy integers, not bools
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:

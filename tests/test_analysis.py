@@ -261,8 +261,8 @@ def frozen_velocity_mismatch_bias(anchors, ud, schedule, noise, assumed_velocity
     assumed_velocity = np.asarray(assumed_velocity, dtype=float)
     n = anchors.n_dim
     pos, dt = anchors.positions, schedule.delays
-    h, g = forward(pos, dt, ud.position, assumed_velocity, 0.0, 0.0, jacobian=True)
-    r = h - forward(pos, dt, ud.position, ud.velocity, 0.0, 0.0)
+    h, g = forward(pos, dt, ud.position, assumed_velocity, 0.0, 0.0)
+    r = h - forward(pos, dt, ud.position, ud.velocity, 0.0, 0.0)[0]
     w = weight_vector(noise)
     gw = g * w[:, None]
     q = invert_spd(gw.T @ g)

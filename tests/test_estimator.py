@@ -124,7 +124,6 @@ class TestForward:
                 theta.clock_offset_m,
                 theta.clock_drift_mps,
                 response=mode is not Mode.ONE_WAY,
-                jacobian=True,
                 velocity_columns=mode is Mode.ESTIMATED_VELOCITY,
             )
             h_ref, g_ref = oracle_model(mode, anchors, schedule, theta, v)

@@ -38,7 +38,7 @@ def rows(anchor, state, delta_t=0.01):
     h = forward(
         np.atleast_2d(np.asarray(anchor, float)), np.array([delta_t]), state.position,
         state.velocity, state.clock_offset_m, state.clock_drift_mps,
-    )
+    )[0]
     return h[0], h[1]
 
 
@@ -47,7 +47,7 @@ def model_of(sc):
     return forward(
         sc.anchors.positions, sc.schedule.delays, ud.position, ud.velocity,
         ud.clock_offset_m, ud.clock_drift_mps,
-    )
+    )[0]
 
 
 class TestRequestModel:
@@ -310,44 +310,84 @@ class TestSerialization:
         assert text == json.dumps(json.loads(GOLDEN_JSON), indent=2)
 
 
+LAYOUTS = pytest.mark.parametrize(
+    "layout",
+    [
+        {"response": True, "velocity_columns": False},
+        {"response": True, "velocity_columns": True},
+        {"response": False, "velocity_columns": False},
+    ],
+    ids=["known", "estimated", "one-way"],
+)
+
+
+def frozen_forward_h(anchors_m, delays, position, velocity, clock_offset_m, clock_drift_mps,
+                     response=True):
+    """forward's model h as its former h-only branch computed it, subtracting
+    and adding the clock offset, kept as the reference for forward(...)[0]."""
+    m, n = anchors_m.shape[-2:]
+    rows = 2 * m if response else m
+    u = np.empty(position.shape[:-1] + (rows, n))
+    np.subtract(position[..., None, :], anchors_m, out=u[..., :m, :])
+    if response:
+        np.add(u[..., :m, :], velocity[..., None, :] * delays[..., :, None], out=u[..., m:, :])
+    h = np.sqrt(np.add.reduce(u * u, axis=-1))
+    h[..., :m] -= clock_offset_m
+    if response:
+        h[..., m:] += clock_offset_m
+        h[..., m:] += clock_drift_mps * delays
+    return h
+
+
+def random_epochs(rng, t):
+    """anchors, delays, positions and velocities of t epochs of 5 anchors in 2-D."""
+    anchors = rng.uniform(-400, 400, (t, 5, 2))
+    delays = np.sort(rng.uniform(0.002, 0.08, (t, 5)), axis=1)
+    return anchors, delays, rng.uniform(-250, 250, (t, 2)), rng.uniform(-50, 50, (t, 2))
+
+
 class TestBatchedForward:
-    @pytest.mark.parametrize(
-        "layout",
-        [
-            {"response": True, "velocity_columns": False},
-            {"response": True, "velocity_columns": True},
-            {"response": False, "velocity_columns": False},
-        ],
-        ids=["known", "estimated", "one-way"],
-    )
+    @LAYOUTS
     def test_rows_equal_lone_epochs(self, layout):
         rng = np.random.default_rng(21)
         t = 40
-        anchors = rng.uniform(-400, 400, (t, 5, 2))
-        delays = np.sort(rng.uniform(0.002, 0.08, (t, 5)), axis=1)
-        position = rng.uniform(-250, 250, (t, 2))
-        velocity = rng.uniform(-50, 50, (t, 2))
+        anchors, delays, position, velocity = random_epochs(rng, t)
         offset = rng.uniform(-1e3, 1e3, (t, 1))
         drift = rng.uniform(-1e2, 1e2, (t, 1))
-        h, g = forward(anchors, delays, position, velocity, offset, drift, jacobian=True, **layout)
+        h, g = forward(anchors, delays, position, velocity, offset, drift, **layout)
         # a second call reusing g and a precomputed v*dt gives the same bits
         shift = velocity[:, None, :] * delays[:, :, None]
         h2, g2 = forward(
-            anchors, delays, position, velocity, offset, drift, jacobian=True, shift=shift,
-            g=g.copy(), **layout,
+            anchors, delays, position, velocity, offset, drift, shift=shift, g=g.copy(), **layout,
         )
         assert h2.tobytes() == h.tobytes() and g2.tobytes() == g.tobytes()
         for i in range(t):
             h1, g1 = forward(
                 anchors[i], delays[i], position[i], velocity[i], float(offset[i, 0]),
-                float(drift[i, 0]), jacobian=True, **layout,
+                float(drift[i, 0]), **layout,
             )
             assert h[i].tobytes() == h1.tobytes() and g[i].tobytes() == g1.tobytes()
-            plain = forward(
-                anchors[i], delays[i], position[i], velocity[i], float(offset[i, 0]),
-                float(drift[i, 0]), response=layout["response"],
-            )
-            assert plain.tobytes() == h1.tobytes()
+
+    @LAYOUTS
+    @pytest.mark.parametrize("t", [1, 40])
+    @pytest.mark.parametrize("offset", [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, None])
+    def test_model_has_the_frozen_clock_bits(self, layout, t, offset):
+        # the clock offset taken through G's offset column gives the bits of
+        # subtracting and adding it: per-row (T, 1) columns, a float over the
+        # batch and lone epochs; None draws a column of ordinary offsets
+        rng = np.random.default_rng(23)
+        epochs = random_epochs(rng, t)
+        column = rng.uniform(-1e3, 1e3, (t, 1)) if offset is None else np.full((t, 1), offset)
+        drift = rng.uniform(-1e2, 1e2, (t, 1))
+        calls = [(epochs, column, drift)] + ([] if offset is None else [(epochs, offset, drift)])
+        calls += [([a[i] for a in epochs], float(column[i, 0]), float(drift[i, 0]))
+                  for i in range(t)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # finite inputs within float range warn of nothing
+            for args, clock_offset, clock_drift in calls:
+                h = forward(*args, clock_offset, clock_drift, **layout)[0]
+                frozen = frozen_forward_h(*args, clock_offset, clock_drift, layout["response"])
+                assert h.tobytes() == frozen.tobytes()
 
     @pytest.mark.parametrize("t", [1, 7, 8, 128])
     def test_synthesized_rows_with_their_sigmas_equal_one_row_calls(self, t):

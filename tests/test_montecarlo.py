@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -82,6 +83,24 @@ class TestBlockGenerators:
             rng.random(out=u[1, row])
             rng.standard_normal(out=z[1, row])
         assert u[0].tobytes() == u[1].tobytes() and z[0].tobytes() == z[1].tobytes()
+
+    def test_interleaved_blocks_keep_their_own_streams(self):
+        # two hashed blocks taken in turn, as blocks of concurrent runs are:
+        # each generator still gives the stream of default_rng for its seed
+        seeds = self.seeds()[: 4 * montecarlo._HASHED_BLOCK]
+        halves = seeds[::2], seeds[1::2]
+        drawn = [[], []]
+        for pair in zip(*map(montecarlo._generators, halves)):
+            for out, rng in zip(drawn, pair):
+                out.append(rng.random(7).tobytes())
+        expected = [[np.random.default_rng(s).random(7).tobytes() for s in half] for half in halves]
+        assert drawn == expected
+
+
+def untimed_rows(summaries) -> list[str]:
+    """Each summary row without its mean solver wall time, as comparable text
+    (repr, so that NaN RMSEs compare equal)."""
+    return [repr({**s.to_row(), "mean_solve_us": None}) for s in summaries]
 
 
 def untimed(record) -> list[str]:
@@ -224,6 +243,27 @@ class TestConfig:
         assert (config.trials, config.jobs) == (3, 2)
         assert type(config.trials) is int and type(config.jobs) is int
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"trials": True}, {"trials": 2.5}, {"base_seed": 1.5}, {"base_seed": "7"},
+         {"jobs": np.True_}, {"jobs": 2.0}],
+        ids=lambda change: ",".join(f"{k}={v!r}" for k, v in change.items()),
+    )
+    def test_constructor_rejects_non_integers(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            ExperimentConfig("noise-sweep", (0.1,), **change)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        config = ExperimentConfig("noise-sweep", (0.1, 1.0), trials=np.int64(3),
+                                  base_seed=np.int64(7), jobs=np.int32(1))
+        assert [type(v) for v in (config.trials, config.base_seed, config.jobs)] == [int] * 3
+        plain = ExperimentConfig("noise-sweep", (0.1, 1.0), trials=3, base_seed=7)
+        assert config == plain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [untimed_rows(run_experiment(c)) for c in (config, plain)]
+        assert rows[0] == rows[1]
+
     def test_absent_keys_take_the_dataclass_defaults(self):
         for kind in ("noise-sweep", "success-rate"):
             doc = {"kind": kind, "sweep_values": [1.0, 5.0]}
@@ -338,6 +378,25 @@ class TestRunExperiment:
         assert [repr({**s.to_row(), "mean_solve_us": None}) for s in pooled] == [
             repr({**s.to_row(), "mean_solve_us": None}) for s in serial
         ]
+
+    def test_concurrent_threads_match_sequential_runs(self):
+        # each hashed block reseeds a generator of its own, so experiments run
+        # in threads of one process draw what each draws alone; a short switch
+        # interval makes the three threads take turns within every block
+        configs = [ExperimentConfig("noise-sweep", (0.1, 1.0), trials=24),
+                   ExperimentConfig("success-rate", (10.0, 200.0), trials=24, sigma_m=5.0),
+                   ExperimentConfig("velocity-mismatch", (2.0, 8.0), trials=24)]
+        alone = [untimed_rows(run_experiment(c)) for c in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                with concurrent.futures.ThreadPoolExecutor(len(configs)) as pool:
+                    runs = pool.map(run_experiment, configs, timeout=120)
+                    together = [untimed_rows(s) for s in runs]
+                assert together == alone
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_summary_rows_per_sweep_point(self):
         config = ExperimentConfig(kind="noise-sweep", sweep_values=(0.1, 1.0), trials=5)

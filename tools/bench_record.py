@@ -8,12 +8,14 @@ Runs ``perfbench/run.py --trace 0`` once on every workload that
 ``CLI_PRESETS`` that no workload runs, and writes to OUT.json: each
 workload's JSON result lines, the suite's summary line with its wall and CPU
 time, each preset's whole-process wall times and their best, the line
-counts ``wc -l src/toaloc/*.py`` prints, the ``OPENBLAS_CORETYPE`` it ran
-under with the core name and thread count of numpy's and scipy's OpenBLAS
-copies, which decide the result bits (kernel) and the speed (threads), and
-the checkout's HEAD with whether its tracked files differ from HEAD. Run it
-from anywhere; it works on the checkout it sits in. A workload, suite or
-preset that fails is recorded with its exit code, and the script exits 1.
+counts ``wc -l src/toaloc/*.py`` prints with their total's change since the
+highest-numbered other ``BENCH_<n>.json`` in the repository root, the
+``OPENBLAS_CORETYPE`` it ran under with the core name and thread count of
+numpy's and scipy's OpenBLAS copies, which decide the result bits (kernel)
+and the speed (threads), and the checkout's HEAD with whether its tracked
+files differ from HEAD. Run it from anywhere; it works on the checkout it
+sits in. A workload, suite or preset that fails is recorded with its exit
+code, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -123,9 +125,18 @@ def git_head() -> dict:
     }
 
 
-def src_lines() -> dict:
+def src_lines(out: Path) -> dict:
+    """``wc -l src/toaloc/*.py``'s counts and total, and ``delta``: the total
+    minus that of the highest-numbered BENCH_<n>.json in the repository root
+    other than ``out``, or None when there is none."""
     counts = {p.name: p.read_text().count("\n") for p in sorted(ROOT.glob("src/toaloc/*.py"))}
-    return {**counts, "total": sum(counts.values())}
+    total = sum(counts.values())
+    earlier = {int(p.stem[6:]): p for p in ROOT.glob("BENCH_*.json")
+               if p.stem[6:].isdigit() and p.resolve() != out.resolve()}
+    delta = None
+    if earlier:
+        delta = total - json.loads(earlier[max(earlier)].read_text())["src_lines"]["total"]
+    return {**counts, "total": total, "delta": delta}
 
 
 def main(argv: list[str]) -> int:
@@ -142,7 +153,7 @@ def main(argv: list[str]) -> int:
         },
         "tier1": run_tier1(),
         "cli_presets": {name: run_preset(name) for name in CLI_PRESETS},
-        "src_lines": src_lines(),
+        "src_lines": src_lines(Path(argv[0])),
         "openblas": openblas(),
         "git": git_head(),
     }
